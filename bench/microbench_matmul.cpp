@@ -201,7 +201,7 @@ int main(int argc, char** argv) {
   util::Table simd_table({"spec", "shape", "serial ms", "pool ms",
                           "max ulps vs serial", "emul agrees", "bits",
                           "reproducible"});
-  for (const std::string& spec_text :
+  for (const std::string spec_text :
        {"serial", "serial@simd4", "serial@simd8", "kahan", "kahan@simd4",
         "kahan@simd8"}) {
     core::EvalContext serial_ctx;

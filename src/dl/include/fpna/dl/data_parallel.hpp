@@ -60,7 +60,9 @@ enum class GradientExchange {
 
 struct DataParallelConfig {
   /// Local per-rank training setup (epochs, lr, hidden, accumulator,
-  /// determinism of the local kernels, init seed).
+  /// determinism of the local kernels, init seed). base.loss_scale must
+  /// be disabled: data-parallel training does not scale the loss and
+  /// throws std::invalid_argument rather than ignore a scale.
   TrainConfig base{};
   std::size_t ranks = 4;
   collective::Algorithm algorithm = collective::Algorithm::kReproducible;

@@ -43,7 +43,7 @@ struct Dataset {
   std::vector<char> train_mask;         // 1 = training node
   std::int64_t num_classes = 0;
 
-  std::int64_t num_nodes() const noexcept { return graph.num_nodes; }
+  std::int64_t num_nodes() const noexcept { return graph.num_nodes(); }
   std::int64_t num_features() const noexcept { return features.size(1); }
   std::int64_t train_count() const noexcept;
 };

@@ -3,11 +3,16 @@
 // mean-aggregation convolution, ReLU, log-softmax and masked NLL loss.
 //
 // The single source of non-determinism in the whole stack is the
-// index_add used by neighbour aggregation - in the forward direction
-// (sum messages into destination nodes) and in the backward direction
-// (scatter gradients back to source nodes) - exactly matching the paper's
-// statement that "the only source of non-determinism in our
-// implementation of this DNN is the index_add operation" (SV.B).
+// index_add used by neighbour aggregation on the non-deterministic path -
+// in the forward direction (sum messages into destination nodes) and in
+// the backward direction (scatter gradients back to source nodes) -
+// exactly matching the paper's statement that "the only source of
+// non-determinism in our implementation of this DNN is the index_add
+// operation" (SV.B). The deterministic path computes the same
+// per-destination streams as the deterministic index_add, without the
+// per-element contribution list: each output row folds its neighbours'
+// rows over the graph's CSR grouping (dl/aggregate.hpp, the kernel
+// serving shares).
 
 #include <cstdint>
 #include <functional>
@@ -30,13 +35,19 @@ namespace fpna::dl {
 using GradientSink = std::function<void(const Matrix* grad)>;
 
 /// Mean neighbour aggregation: out[v] = (1/deg(v)) sum_{u -> v} x[u].
-/// Forward of the GraphSAGE aggregator; the sum is an index_add over the
-/// edge list (ND when ctx requests it).
+/// Forward of the GraphSAGE aggregator. Deterministically, row v is
+/// mean_rows_into over v's in-neighbours (Graph::in_adjacency, edge
+/// order); when ctx requests ND, the sum is an index_add over the edge
+/// list. With a recorder: span and "result" provenance site
+/// "dl.mean_aggregate".
 Matrix mean_aggregate(const Matrix& x, const Graph& graph,
                       const tensor::OpContext& ctx);
 
 /// Backward of mean_aggregate: dX[u] += dOut[v] / deg(v) over edges
-/// u -> v; itself an index_add with the edge roles swapped.
+/// u -> v. dOut is pre-scaled by 1/deg, then row u sums the scaled rows
+/// of its out-neighbours (Graph::out_adjacency, edge order) - the
+/// index_add with the edge roles swapped, which the ND path runs. Site
+/// "dl.mean_aggregate_backward".
 Matrix mean_aggregate_backward(const Matrix& d_out, const Graph& graph,
                                const tensor::OpContext& ctx);
 
@@ -56,6 +67,11 @@ class Linear {
   Matrix backward(const Matrix& x, const Matrix& d_out,
                   const core::EvalContext& ctx = {},
                   const GradientSink& sink = {});
+
+  /// backward without dX: accumulates dW, db only (same sink firings).
+  void accumulate_gradients(const Matrix& x, const Matrix& d_out,
+                            const core::EvalContext& ctx = {},
+                            const GradientSink& sink = {});
 
   void zero_grad();
 
@@ -86,6 +102,13 @@ class SageConv {
   Matrix backward(const Cache& cache, const Matrix& d_out, const Graph& graph,
                   const tensor::OpContext& ctx,
                   const GradientSink& sink = {});
+
+  /// backward without dX, for a first layer whose input takes no
+  /// gradient: the parameter gradients and sink firings of backward,
+  /// none of its input-gradient matmuls or aggregation.
+  void accumulate_gradients(const Cache& cache, const Matrix& d_out,
+                            const tensor::OpContext& ctx,
+                            const GradientSink& sink = {});
 
   void zero_grad();
 

@@ -40,7 +40,9 @@ class GraphSageModel {
   /// *reverse layer order* (conv2's parameters before conv1's - gradients
   /// are produced output-to-input), the readiness signal a DDP-style
   /// trainer feeds into comm::BucketScheduler to overlap gradient
-  /// reduction with the rest of this very backward pass.
+  /// reduction with the rest of this very backward pass. No gradient
+  /// w.r.t. the input features is formed (conv1 stops at its
+  /// parameters).
   void backward(const ForwardCache& cache, const Matrix& d_logits,
                 const Graph& graph, const tensor::OpContext& ctx,
                 const GradientSink& sink = {});

@@ -12,10 +12,11 @@
 //
 // The loops deliberately mirror the full-matrix kernels element for
 // element (matmul's ascending-k stream with its av == 0.0f sparsity skip,
-// index_add's quantized self-seeded per-destination fold, log_softmax's
-// row max/exp/serial-sum), so serving a deployed node reproduces the
-// offline full-graph forward's row bitwise - for every algorithm, dtype
-// and lane spec (certified in serve_test).
+// log_softmax's row max/exp/serial-sum), so serving a deployed node
+// reproduces the offline full-graph forward's row bitwise - for every
+// algorithm, dtype and lane spec (certified in serve_test). Neighbour
+// aggregation needs no mirror: training and serving call the same
+// kernel (dl/aggregate.hpp).
 
 #include <cstdint>
 #include <span>
@@ -37,16 +38,6 @@ namespace fpna::dl {
 /// mirroring SageConv::forward's op sequence.
 void linear_row(std::span<const float> x, const Matrix& weight,
                 std::span<float> out, const core::EvalContext& ctx);
-
-/// out[c] = (1/ids.size()) * sum over ids (in list order) of
-/// table[id, c], the per-row form of mean_aggregate: the sum seeds with
-/// quantize(0.0f) (index_add's self-seed on a zero destination), folds
-/// the gathered values in list order through the spec's accumulator, and
-/// the mean divides by the float reciprocal afterwards (scale_rows'
-/// discipline). An empty id list writes zeros (a degree-0 node).
-/// Throws std::out_of_range on an id outside the table.
-void mean_rows_into(const Matrix& table, std::span<const std::int64_t> ids,
-                    std::span<float> out, const core::EvalContext& ctx);
 
 /// In-place row log-softmax: bitwise the one-row case of
 /// log_softmax_rows (row max, float exp-sum, subtract log-normaliser).

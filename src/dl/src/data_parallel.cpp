@@ -77,6 +77,12 @@ TrainResult train_data_parallel(const Dataset& dataset,
   if (config.base.epochs <= 0) {
     throw std::invalid_argument("train_data_parallel: epochs <= 0");
   }
+  if (config.base.loss_scale.enabled()) {
+    // Not honoured by the data-parallel step (no scaler at the loss
+    // source, no finiteness exchange): rejected rather than ignored.
+    throw std::invalid_argument(
+        "train_data_parallel: loss scaling is not supported");
+  }
   if (pg.size() != config.ranks ||
       pg.local_contributions() != config.ranks) {
     throw std::invalid_argument(
@@ -94,7 +100,9 @@ TrainResult train_data_parallel(const Dataset& dataset,
                      {},
                      {},
                      {},
-                     0.0};
+                     0.0,
+                     {},
+                     0};
 
   const core::EvalContext local_ctx = config.base.eval_context(run);
   core::EvalContext comm_ctx;
@@ -205,6 +213,7 @@ TrainResult train_data_parallel(const Dataset& dataset,
       }
     }
     result.epoch_losses.push_back(loss_total / static_cast<double>(ranks));
+    result.epoch_loss_scale.push_back(1.0f);
 
     if (overlap_exchange) {
       combined = reducer->finish();

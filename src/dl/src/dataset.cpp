@@ -39,7 +39,7 @@ Dataset make_synthetic_citation_dataset(const DatasetConfig& config) {
   util::Xoshiro256pp rng(config.seed);
   Dataset ds;
   ds.num_classes = config.num_classes;
-  ds.graph.num_nodes = config.num_nodes;
+  ds.graph = Graph(config.num_nodes);
 
   // Labels: round-robin-ish random assignment, every class non-empty.
   const util::UniformInt class_dist(0, config.num_classes - 1);

@@ -3,7 +3,9 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "fpna/dl/aggregate.hpp"
 #include "fpna/fp/accumulator.hpp"
+#include "fpna/obs/recorder.hpp"
 #include "fpna/tensor/indexed_ops.hpp"
 #include "parallel_blocks.hpp"
 
@@ -16,59 +18,97 @@ namespace {
 void scale_rows(Matrix& m, const std::vector<float>& factors,
                 const core::EvalContext& ctx) {
   const std::int64_t cols = m.size(1);
+  float* data = m.data().data();
   detail::for_each_row_block(
       ctx, m.size(0), cols, [&](std::int64_t r0, std::int64_t r1) {
         for (std::int64_t r = r0; r < r1; ++r) {
           const float f = factors[static_cast<std::size_t>(r)];
-          for (std::int64_t c = 0; c < cols; ++c) m.flat(r * cols + c) *= f;
+          for (std::int64_t c = 0; c < cols; ++c) data[r * cols + c] *= f;
         }
       });
 }
 
 std::vector<float> inverse_degrees(const Graph& graph) {
-  const auto degrees = graph.in_degrees();
-  std::vector<float> inv(degrees.size(), 0.0f);
-  for (std::size_t v = 0; v < degrees.size(); ++v) {
-    inv[v] = degrees[v] > 0 ? 1.0f / static_cast<float>(degrees[v]) : 0.0f;
+  const Adjacency& in = graph.in_adjacency();
+  std::vector<float> inv(static_cast<std::size_t>(graph.num_nodes()), 0.0f);
+  for (std::int64_t v = 0; v < graph.num_nodes(); ++v) {
+    const std::int64_t deg = in.degree(v);
+    inv[static_cast<std::size_t>(v)] =
+        deg > 0 ? 1.0f / static_cast<float>(deg) : 0.0f;
   }
   return inv;
 }
 
-tensor::Tensor<std::int64_t> to_index_tensor(
-    const std::vector<std::int64_t>& values) {
-  return tensor::Tensor<std::int64_t>::from_data(
-      tensor::Shape{static_cast<std::int64_t>(values.size())},
-      std::vector<std::int64_t>(values));
+/// The non-deterministic aggregation: one message per edge, summed by
+/// tensor::index_add, whose simulated atomics commit in scheduler order
+/// - the paper's only ND source in the GNN (SV.B).
+Matrix index_add_aggregate(const Matrix& x,
+                           const std::vector<std::int64_t>& from,
+                           const std::vector<std::int64_t>& to,
+                           const tensor::OpContext& ctx) {
+  const Matrix messages = gather_rows(x, from, ctx);
+  const Matrix zero(tensor::Shape{x.size(0), x.size(1)}, 0.0f);
+  return tensor::index_add(
+      zero, 0,
+      tensor::Tensor<std::int64_t>::from_data(
+          tensor::Shape{static_cast<std::int64_t>(to.size())},
+          std::vector<std::int64_t>(to)),
+      messages, 1.0f, ctx);
+}
+
+/// Result record of an aggregation call (read-only, calling thread).
+void record_result(const tensor::OpContext& ctx, const char* site,
+                   const Matrix& out) {
+  if (ctx.recorder == nullptr) return;
+  obs::Fingerprint print;
+  print.feed(out.data());
+  ctx.recorder->provenance({site, "result", -1, -1,
+                            fp::to_string(ctx.reduction_in_effect()),
+                            print.value(),
+                            static_cast<std::uint64_t>(out.numel())});
 }
 
 }  // namespace
 
 Matrix mean_aggregate(const Matrix& x, const Graph& graph,
                       const tensor::OpContext& ctx) {
-  if (x.size(0) != graph.num_nodes) {
+  if (x.size(0) != graph.num_nodes()) {
     throw std::invalid_argument("mean_aggregate: feature row count != nodes");
   }
-  const Matrix messages = gather_rows(
-      x, graph.edge_src, ctx);  // deterministic gather of source features
-  Matrix acc(tensor::Shape{graph.num_nodes, x.size(1)}, 0.0f);
-  acc = tensor::index_add(acc, 0, to_index_tensor(graph.edge_dst), messages,
-                          1.0f, ctx);
-  scale_rows(acc, inverse_degrees(graph), ctx);
-  return acc;
+  Matrix out;
+  {
+    obs::Span span(ctx.recorder, "dl.mean_aggregate");
+    if (ctx.nondeterministic()) {
+      out = index_add_aggregate(x, graph.edge_src(), graph.edge_dst(), ctx);
+      scale_rows(out, inverse_degrees(graph), ctx);
+    } else {
+      out = mean_grouped_rows(x, graph.in_adjacency(), ctx);
+    }
+  }
+  record_result(ctx, "dl.mean_aggregate", out);
+  return out;
 }
 
 Matrix mean_aggregate_backward(const Matrix& d_out, const Graph& graph,
                                const tensor::OpContext& ctx) {
-  if (d_out.size(0) != graph.num_nodes) {
+  if (d_out.size(0) != graph.num_nodes()) {
     throw std::invalid_argument(
         "mean_aggregate_backward: gradient row count != nodes");
   }
-  Matrix scaled = d_out;
-  scale_rows(scaled, inverse_degrees(graph), ctx);
-  const Matrix messages = gather_rows(scaled, graph.edge_dst, ctx);
-  Matrix d_x(tensor::Shape{graph.num_nodes, d_out.size(1)}, 0.0f);
-  return tensor::index_add(d_x, 0, to_index_tensor(graph.edge_src), messages,
-                           1.0f, ctx);
+  Matrix d_x;
+  {
+    obs::Span span(ctx.recorder, "dl.mean_aggregate_backward");
+    Matrix scaled = d_out;
+    scale_rows(scaled, inverse_degrees(graph), ctx);
+    if (ctx.nondeterministic()) {
+      d_x = index_add_aggregate(scaled, graph.edge_dst(), graph.edge_src(),
+                                ctx);
+    } else {
+      d_x = sum_grouped_rows(scaled, graph.out_adjacency(), ctx);
+    }
+  }
+  record_result(ctx, "dl.mean_aggregate_backward", d_x);
+  return d_x;
 }
 
 Linear::Linear(std::int64_t in_features, std::int64_t out_features,
@@ -90,13 +130,19 @@ Matrix Linear::forward(const Matrix& x, const core::EvalContext& ctx) const {
   return y;
 }
 
-Matrix Linear::backward(const Matrix& x, const Matrix& d_out,
-                        const core::EvalContext& ctx,
-                        const GradientSink& sink) {
+void Linear::accumulate_gradients(const Matrix& x, const Matrix& d_out,
+                                  const core::EvalContext& ctx,
+                                  const GradientSink& sink) {
   grad_weight = add(grad_weight, matmul_transpose_a(x, d_out, ctx), ctx);
   if (sink) sink(&grad_weight);
   grad_bias = add(grad_bias, column_sums(d_out, ctx), ctx);
   if (sink) sink(&grad_bias);
+}
+
+Matrix Linear::backward(const Matrix& x, const Matrix& d_out,
+                        const core::EvalContext& ctx,
+                        const GradientSink& sink) {
+  accumulate_gradients(x, d_out, ctx, sink);
   return matmul_transpose_b(d_out, weight, ctx);
 }
 
@@ -124,16 +170,23 @@ Matrix SageConv::forward(const Matrix& x, const Graph& graph,
   return out;
 }
 
-Matrix SageConv::backward(const Cache& cache, const Matrix& d_out,
-                          const Graph& graph, const tensor::OpContext& ctx,
-                          const GradientSink& sink) {
-  // Self path.
-  Matrix d_x = lin_self.backward(cache.x, d_out, ctx, sink);
-  // Neighbour path: through the matmul, then back through aggregation.
+void SageConv::accumulate_gradients(const Cache& cache, const Matrix& d_out,
+                                    const tensor::OpContext& ctx,
+                                    const GradientSink& sink) {
+  lin_self.accumulate_gradients(cache.x, d_out, ctx, sink);
   lin_neigh.grad_weight = add(
       lin_neigh.grad_weight, matmul_transpose_a(cache.h_neigh, d_out, ctx),
       ctx);
   if (sink) sink(&lin_neigh.grad_weight);
+}
+
+Matrix SageConv::backward(const Cache& cache, const Matrix& d_out,
+                          const Graph& graph, const tensor::OpContext& ctx,
+                          const GradientSink& sink) {
+  accumulate_gradients(cache, d_out, ctx, sink);
+  // Self path, then the neighbour path: through the matmul, then back
+  // through aggregation.
+  const Matrix d_x = matmul_transpose_b(d_out, lin_self.weight, ctx);
   const Matrix d_h_neigh = matmul_transpose_b(d_out, lin_neigh.weight, ctx);
   const Matrix d_x_agg = mean_aggregate_backward(d_h_neigh, graph, ctx);
   return add(d_x, d_x_agg, ctx);

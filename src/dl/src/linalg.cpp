@@ -16,6 +16,7 @@
 namespace fpna::dl {
 
 using detail::for_each_row_block;
+using detail::kNativeSerialF32;
 
 namespace {
 
@@ -56,16 +57,6 @@ void require_rank2(const Matrix& m, const char* name) {
     throw std::invalid_argument(std::string(name) + ": expected rank-2");
   }
 }
-
-/// The dense kernels' dtype discipline (tensor-core semantics): the
-/// spec's *storage* dtype quantizes the operands - a bf16 x bf16 product
-/// is exact in binary32, so the float multiply below models the MAC units
-/// exactly - and the *accumulate* dtype is where each output element's
-/// contribution stream runs. The native spec (identity quantize, float
-/// accumulate, serial algorithm) keeps the seed's special-cased loops.
-template <typename Acc, typename Quant>
-inline constexpr bool kNativeSerialF32 =
-    std::is_same_v<Acc, fp::SerialAccumulator<float>> && Quant::is_identity;
 
 /// Storage-quantized view of an operand matrix: the identity quantizer
 /// aliases the original (zero cost on the native paths); a real
@@ -118,15 +109,16 @@ void matmul_k_range(Matrix& c, const Matrix& a, const Matrix& b,
         for_each_row_block(ctx, m, (k_end - k_begin) * n,
                            [&](std::int64_t r0, std::int64_t r1) {
           if constexpr (kNativeSerialF32<Acc, decltype(quantize)>) {
+            const float* __restrict pa = a.data().data();
+            const float* __restrict pb = b.data().data();
+            float* __restrict pc = c.data().data();
             for (std::int64_t i = r0; i < r1; ++i) {
+              float* __restrict crow = pc + i * n;
               for (std::int64_t p = k_begin; p < k_end; ++p) {
-                const float av = a.flat(i * k + p);
+                const float av = pa[i * k + p];
                 if (av == 0.0f) continue;
-                const std::int64_t brow = p * n;
-                const std::int64_t crow = i * n;
-                for (std::int64_t j = 0; j < n; ++j) {
-                  c.flat(crow + j) += av * b.flat(brow + j);
-                }
+                const float* __restrict brow = pb + p * n;
+                for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
               }
             }
           } else {
@@ -208,15 +200,16 @@ Matrix matmul_transpose_a(const Matrix& a, const Matrix& b,
         for_each_row_block(ctx, k, m * n,
                            [&](std::int64_t p0, std::int64_t p1) {
           if constexpr (kNativeSerialF32<Acc, decltype(quantize)>) {
+            const float* __restrict pa = a.data().data();
+            const float* __restrict pb = b.data().data();
+            float* __restrict pc = c.data().data();
             for (std::int64_t p = p0; p < p1; ++p) {
-              const std::int64_t crow = p * n;
+              float* __restrict crow = pc + p * n;
               for (std::int64_t i = 0; i < m; ++i) {
-                const float av = a.flat(i * k + p);
+                const float av = pa[i * k + p];
                 if (av == 0.0f) continue;
-                const std::int64_t brow = i * n;
-                for (std::int64_t j = 0; j < n; ++j) {
-                  c.flat(crow + j) += av * b.flat(brow + j);
-                }
+                const float* __restrict brow = pb + i * n;
+                for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
               }
             }
           } else {
@@ -267,11 +260,11 @@ Matrix matmul_transpose_b(const Matrix& a, const Matrix& b,
             for (std::int64_t j = 0; j < n; ++j) {
               const std::int64_t brow = j * k;
               if constexpr (kNativeSerialF32<Acc, decltype(quantize)>) {
+                const float* __restrict pa = a.data().data() + arow;
+                const float* __restrict pb = b.data().data() + brow;
                 float acc = 0.0f;
-                for (std::int64_t p = 0; p < k; ++p) {
-                  acc += a.flat(arow + p) * b.flat(brow + p);
-                }
-                c.flat(crow + j) = acc;
+                for (std::int64_t p = 0; p < k; ++p) acc += pa[p] * pb[p];
+                c.data()[static_cast<std::size_t>(crow + j)] = acc;
               } else {
                 Acc acc;
                 for (std::int64_t p = 0; p < k; ++p) {

@@ -45,7 +45,8 @@ void GraphSageModel::backward(const ForwardCache& cache,
                               const GradientSink& sink) {
   const Matrix d_a1 = conv2.backward(cache.conv2, d_logits, graph, ctx, sink);
   const Matrix d_z1 = relu_backward(cache.z1, d_a1);
-  conv1.backward(cache.conv1, d_z1, graph, ctx, sink);
+  // The input features take no gradient: layer 1 stops at its parameters.
+  conv1.accumulate_gradients(cache.conv1, d_z1, ctx, sink);
 }
 
 std::vector<std::size_t> GraphSageModel::backward_gradient_order() const {

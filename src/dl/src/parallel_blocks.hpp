@@ -1,17 +1,31 @@
 #pragma once
-// Internal helper shared by the dl kernels (linalg.cpp, layers.cpp): the
-// row-blocked pool dispatch behind the "bitwise identical to serial by
-// construction" contract. Not installed - implementation detail only.
+// Internal helpers shared by the dl kernels (linalg.cpp, aggregate.cpp,
+// layers.cpp, row_forward.cpp): the native-spec test and the row-blocked
+// pool dispatch behind the "bitwise identical to serial by construction"
+// contract. Not installed - implementation detail only.
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 
 #include "fpna/core/chunking.hpp"
 #include "fpna/core/eval_context.hpp"
+#include "fpna/fp/accumulator.hpp"
 #include "fpna/obs/recorder.hpp"
 #include "fpna/util/thread_pool.hpp"
 
 namespace fpna::dl::detail {
+
+/// The dense kernels' dtype discipline (tensor-core semantics): the
+/// spec's *storage* dtype quantizes the operands - a bf16 x bf16 product
+/// is exact in binary32, so a float multiply models the MAC units
+/// exactly - and the *accumulate* dtype is where each output element's
+/// contribution stream runs. The native spec (identity quantize, float
+/// accumulate, serial algorithm) keeps the seed's special-cased in-place
+/// float loops; this names it.
+template <typename Acc, typename Quant>
+inline constexpr bool kNativeSerialF32 =
+    std::is_same_v<Acc, fp::SerialAccumulator<float>> && Quant::is_identity;
 
 /// Chunk count for a row-blocked parallel loop: boundaries derive from
 /// the problem size alone (never the pool width), targeting ~64k scalar

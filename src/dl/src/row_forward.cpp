@@ -3,22 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <type_traits>
 #include <vector>
 
 #include "fpna/fp/accumulator.hpp"
+#include "parallel_blocks.hpp"
 
 namespace fpna::dl {
 
-namespace {
-
-/// Same native-serial detection as the dense kernels (linalg.cpp): the
-/// default spec must reproduce the seed's hand-rolled float loops bitwise.
-template <typename Acc, typename Quant>
-inline constexpr bool kNativeSerialF32 =
-    std::is_same_v<Acc, fp::SerialAccumulator<float>> && Quant::is_identity;
-
-}  // namespace
+using detail::kNativeSerialF32;
 
 void linear_row(std::span<const float> x, const Matrix& weight,
                 std::span<float> out, const core::EvalContext& ctx) {
@@ -64,58 +56,6 @@ void linear_row(std::span<const float> x, const Matrix& weight,
             out[static_cast<std::size_t>(j)] = static_cast<float>(
                 row[static_cast<std::size_t>(j)].result());
           }
-        }
-      });
-}
-
-void mean_rows_into(const Matrix& table, std::span<const std::int64_t> ids,
-                    std::span<float> out, const core::EvalContext& ctx) {
-  if (table.dim() != 2) {
-    throw std::invalid_argument("mean_rows_into: expected rank-2 table");
-  }
-  const std::int64_t cols = table.size(1);
-  if (static_cast<std::int64_t>(out.size()) != cols) {
-    throw std::invalid_argument("mean_rows_into: output width mismatch");
-  }
-  for (const std::int64_t id : ids) {
-    if (id < 0 || id >= table.size(0)) {
-      throw std::out_of_range("mean_rows_into: row id out of range");
-    }
-  }
-  if (ids.empty()) {
-    // Degree 0: mean_aggregate leaves the zero destination untouched and
-    // scale_rows multiplies by the 0.0f sentinel factor.
-    for (std::int64_t c = 0; c < cols; ++c) {
-      out[static_cast<std::size_t>(c)] = 0.0f;
-    }
-    return;
-  }
-  const float inv_deg = 1.0f / static_cast<float>(ids.size());
-  fp::visit_reduction<float>(
-      ctx.reduction_in_effect(), [&](auto tag, auto acc_c, auto quantize) {
-        using A = typename decltype(acc_c)::type;
-        using Acc = typename decltype(tag)::template accumulator_t<A>;
-        for (std::int64_t c = 0; c < cols; ++c) {
-          float value;
-          if constexpr (kNativeSerialF32<Acc, decltype(quantize)>) {
-            // index_add's native in-place fold from the zero destination.
-            value = 0.0f;
-            for (const std::int64_t id : ids) {
-              value += table.flat(id * cols + c);
-            }
-          } else {
-            // index_add's accumulator fold: the zero destination seeds
-            // the stream (it counts as an element - Pairwise's block
-            // boundaries depend on it), then contributions in list order.
-            Acc acc;
-            acc.add(static_cast<A>(quantize(0.0f)));
-            for (const std::int64_t id : ids) {
-              acc.add(static_cast<A>(quantize(table.flat(id * cols + c))));
-            }
-            value = static_cast<float>(acc.result());
-          }
-          // scale_rows' float multiply by the precomputed 1/deg.
-          out[static_cast<std::size_t>(c)] = value * inv_deg;
         }
       });
 }

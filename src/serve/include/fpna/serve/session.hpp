@@ -2,7 +2,8 @@
 // Inference session: a trained GraphSageModel frozen for serving, plus
 // the deployed-graph state a request's forward needs (the feature table
 // and the layer-1 activation cache), evaluated one request-row at a time
-// through dl's row-wise kernels (dl/row_forward.hpp).
+// through dl's row-wise kernels (dl/row_forward.hpp) and the aggregation
+// kernel serving shares with training (dl/aggregate.hpp).
 //
 // Serving model. A request carries its own feature row and the ids of
 // its neighbours among the *deployed* nodes (the standard inductive
@@ -84,8 +85,8 @@ class InferenceSession {
 
   /// The request whose row_forward reproduces deployed node `node`'s row
   /// of the offline GraphSageModel::forward bitwise: the node's feature
-  /// row plus its in-edge sources in edge order (index_add's issue
-  /// order).
+  /// row plus its in-neighbours in edge order, read from the graph's CSR
+  /// grouping (Graph::in_adjacency, the rows mean_aggregate folds).
   static Request deployed_request(const dl::Dataset& dataset,
                                   std::int64_t node, std::uint64_t id);
 

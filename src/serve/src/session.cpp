@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "fpna/dl/aggregate.hpp"
 #include "fpna/dl/layers.hpp"
 #include "fpna/dl/row_forward.hpp"
 #include "fpna/obs/recorder.hpp"
@@ -24,7 +25,7 @@ InferenceSession::InferenceSession(const dl::GraphSageModel& model,
                                    const dl::Dataset& dataset,
                                    const core::EvalContext& ctx)
     : model_(model), features_(dataset.features) {
-  if (features_.size(0) != dataset.graph.num_nodes) {
+  if (features_.size(0) != dataset.graph.num_nodes()) {
     throw std::invalid_argument(
         "InferenceSession: feature rows != deployed nodes");
   }
@@ -144,13 +145,10 @@ Request InferenceSession::deployed_request(const dl::Dataset& dataset,
     request.features[static_cast<std::size_t>(j)] =
         dataset.features.flat(node * f + j);
   }
-  // In-edge sources in edge order: exactly index_add's issue order for
-  // destination `node`, so the row-wise mean folds the same stream.
-  for (std::size_t e = 0; e < dataset.graph.edge_dst.size(); ++e) {
-    if (dataset.graph.edge_dst[e] == node) {
-      request.neighbors.push_back(dataset.graph.edge_src[e]);
-    }
-  }
+  // The node's in-neighbours in edge order: the row mean_aggregate folds
+  // for it, so the request aggregates the same stream.
+  const auto neighbors = dataset.graph.in_adjacency().of(node);
+  request.neighbors.assign(neighbors.begin(), neighbors.end());
   return request;
 }
 

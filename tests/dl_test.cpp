@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -18,6 +19,8 @@
 #include "fpna/obs/recorder.hpp"
 #include "fpna/util/thread_pool.hpp"
 #include "fpna/dl/adam.hpp"
+#include "fpna/dl/aggregate.hpp"
+#include "fpna/dl/data_parallel.hpp"
 #include "fpna/dl/dataset.hpp"
 #include "fpna/dl/graph.hpp"
 #include "fpna/dl/layers.hpp"
@@ -26,6 +29,7 @@
 #include "fpna/dl/model.hpp"
 #include "fpna/dl/trainer.hpp"
 #include "fpna/sim/lpu.hpp"
+#include "fpna/tensor/indexed_ops.hpp"
 #include "fpna/tensor/workload.hpp"
 
 namespace fpna::dl {
@@ -34,8 +38,7 @@ namespace {
 // --------------------------------------------------------------- graph --
 
 TEST(Graph, DegreesAndValidity) {
-  Graph g;
-  g.num_nodes = 4;
+  Graph g(4);
   g.add_undirected_edge(0, 1);
   g.add_edge(2, 1);
   EXPECT_EQ(g.num_edges(), 3);
@@ -66,7 +69,7 @@ TEST(Dataset, IsDeterministicInSeed) {
   const auto b = make_synthetic_citation_dataset(DatasetConfig::small());
   EXPECT_TRUE(a.features.bitwise_equal(b.features));
   EXPECT_EQ(a.labels, b.labels);
-  EXPECT_EQ(a.graph.edge_src, b.graph.edge_src);
+  EXPECT_EQ(a.graph.edge_src(), b.graph.edge_src());
 }
 
 TEST(Dataset, DifferentSeedsDiffer) {
@@ -80,9 +83,9 @@ TEST(Dataset, DifferentSeedsDiffer) {
 TEST(Dataset, EdgesAreHomophilous) {
   const auto ds = make_synthetic_citation_dataset(DatasetConfig::small());
   std::int64_t same = 0;
-  for (std::int64_t e = 0; e < ds.graph.num_edges(); ++e) {
-    const auto u = static_cast<std::size_t>(ds.graph.edge_src[e]);
-    const auto v = static_cast<std::size_t>(ds.graph.edge_dst[e]);
+  for (std::size_t e = 0; e < ds.graph.edge_src().size(); ++e) {
+    const auto u = static_cast<std::size_t>(ds.graph.edge_src()[e]);
+    const auto v = static_cast<std::size_t>(ds.graph.edge_dst()[e]);
     same += ds.labels[u] == ds.labels[v];
   }
   const double fraction =
@@ -387,8 +390,7 @@ TEST(Linalg, SplitKShufflesProduceDistinctBitPatterns) {
 // -------------------------------------------------------------- layers --
 
 Graph line_graph(std::int64_t n) {
-  Graph g;
-  g.num_nodes = n;
+  Graph g(n);
   for (std::int64_t i = 0; i + 1 < n; ++i) g.add_undirected_edge(i, i + 1);
   return g;
 }
@@ -404,8 +406,7 @@ TEST(Layers, MeanAggregateAveragesNeighbours) {
 }
 
 TEST(Layers, IsolatedNodeAggregatesToZero) {
-  Graph g;
-  g.num_nodes = 2;
+  Graph g(2);
   const auto x = Matrix::from_data(tensor::Shape{2, 1}, {3.0f, 4.0f});
   const tensor::OpContext ctx;
   const auto h = mean_aggregate(x, g, ctx);
@@ -457,37 +458,190 @@ TEST(Layers, NllLossRespectsMask) {
   EXPECT_EQ(r.d_logits.at({0, 0}), 0.0f);
 }
 
-// The GNN aggregation pair (gather + index_add + row scaling) on the pool
-// is bitwise identical to serial for every accumulator and thread count -
-// the backward direction is the paper's index_add with edge roles swapped.
-TEST(Layers, PooledAggregationBitwiseEqualsSerialForEveryAccumulator) {
+// The old composition the deterministic aggregation replaced, kept here
+// as the oracle: gather one message per edge, sum them with the
+// deterministic tensor::index_add (zero destination, contributions in
+// edge order), then multiply row v by the float 1/deg(v).
+Matrix index_add_oracle(const Matrix& x, const std::vector<std::int64_t>& from,
+                        const std::vector<std::int64_t>& to,
+                        const core::EvalContext& ctx) {
+  const Matrix messages = gather_rows(x, from, ctx);
+  return tensor::index_add(
+      Matrix(tensor::Shape{x.size(0), x.size(1)}, 0.0f), 0,
+      tensor::Tensor<std::int64_t>::from_data(
+          tensor::Shape{static_cast<std::int64_t>(to.size())},
+          std::vector<std::int64_t>(to)),
+      messages, 1.0f, ctx);
+}
+
+Matrix scaled_by_inverse_degree(Matrix m, const Graph& graph) {
+  const auto degrees = graph.in_degrees();
+  const std::int64_t cols = m.size(1);
+  for (std::int64_t r = 0; r < m.size(0); ++r) {
+    const std::int64_t deg = degrees[static_cast<std::size_t>(r)];
+    const float f = deg > 0 ? 1.0f / static_cast<float>(deg) : 0.0f;
+    for (std::int64_t c = 0; c < cols; ++c) m.flat(r * cols + c) *= f;
+  }
+  return m;
+}
+
+Matrix oracle_mean_aggregate(const Matrix& x, const Graph& graph,
+                             const core::EvalContext& ctx) {
+  return scaled_by_inverse_degree(
+      index_add_oracle(x, graph.edge_src(), graph.edge_dst(), ctx), graph);
+}
+
+Matrix oracle_mean_aggregate_backward(const Matrix& d_out, const Graph& graph,
+                                      const core::EvalContext& ctx) {
+  return index_add_oracle(scaled_by_inverse_degree(d_out, graph),
+                          graph.edge_dst(), graph.edge_src(), ctx);
+}
+
+// Degree-0 nodes (6 and 7), duplicate edges, self-loops and a hub.
+Graph awkward_graph() {
+  Graph g(8);
+  const std::int64_t edges[][2] = {{0, 1}, {1, 0}, {0, 1}, {2, 2}, {3, 0},
+                                   {4, 0}, {5, 0}, {3, 3}, {3, 3}, {1, 2},
+                                   {2, 1}, {0, 5}, {5, 4}, {4, 3}, {2, 0}};
+  for (const auto& e : edges) g.add_edge(e[0], e[1]);
+  return g;
+}
+
+// Signed zeros everywhere (an all -0.0 column must come out +0.0, as the
+// zero destination's fold gives), mixed magnitudes that make every
+// algorithm round differently, and a column of exact cancellations.
+Matrix awkward_features(std::int64_t rows, std::int64_t cols,
+                        std::uint64_t seed) {
+  util::Xoshiro256pp rng(seed);
+  const util::UniformReal dist(-1.0, 1.0);
+  Matrix x(tensor::Shape{rows, cols}, 0.0f);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t c = 0; c < cols; ++c) {
+      float& v = x.flat(r * cols + c);
+      switch (c % 4) {
+        case 0: v = -0.0f; break;
+        case 1: v = (r % 2 == 0) ? 0.0f : -0.0f; break;
+        case 2: v = (r % 2 == 0) ? 1e8f : -1e8f; break;
+        default:
+          v = static_cast<float>(dist(rng)) *
+              (r % 3 == 0 ? 1e6f : 1e-3f);
+      }
+    }
+  }
+  return x;
+}
+
+// The deterministic aggregation pair streams over the CSR grouping with
+// no index_add, and must equal the index_add composition bit for bit:
+// for every registry algorithm, dtype and lane spec, with no pool and on
+// 1/2/4/8 threads.
+TEST(Layers, AggregationEqualsIndexAddCompositionBitwise) {
   auto config = DatasetConfig::small();
   config.num_nodes = 60;
   config.num_undirected_edges = 150;
   config.num_features = 9;
   const auto ds = make_synthetic_citation_dataset(config);
-  util::Xoshiro256pp rng(9);
-  const auto d_out = tensor::random_uniform<float>(
-      tensor::Shape{ds.num_nodes(), 9}, -1e3, 1e3, rng);
+  const Graph awkward = awkward_graph();
+  struct Case {
+    const char* name;
+    const Graph* graph;
+    Matrix x;
+  };
+  const std::vector<Case> cases{
+      {"dataset", &ds.graph, awkward_features(ds.num_nodes(), 9, 3)},
+      {"awkward", &awkward, awkward_features(8, 7, 4)},
+  };
 
+  std::vector<std::string> specs;
+  for (const auto& entry : fp::AlgorithmRegistry::instance().entries()) {
+    specs.push_back(entry.name);
+  }
+  for (const char* name :
+       {"serial@bf16:f32", "kahan@bf16:f32", "serial@bf16:bf16",
+        "serial@f32:f64", "superaccumulator@bf16:f32", "pairwise@simd8",
+        "serial@simd4", "kahan@simd8", "klein@simd16",
+        "kahan@simd8:bf16:f32"}) {
+    specs.emplace_back(name);
+  }
+  std::vector<std::unique_ptr<util::ThreadPool>> pools;
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    util::ThreadPool pool(threads);
-    for (const auto& entry : fp::AlgorithmRegistry::instance().entries()) {
-      core::EvalContext serial_ctx;
-      serial_ctx.accumulator = entry.id;
-      const core::EvalContext pool_ctx = serial_ctx.with_pool(&pool);
-      const std::string label = entry.name + " @" + std::to_string(threads);
-      EXPECT_TRUE(
-          mean_aggregate(ds.features, ds.graph, pool_ctx)
-              .bitwise_equal(mean_aggregate(ds.features, ds.graph,
-                                            serial_ctx)))
-          << label;
-      EXPECT_TRUE(mean_aggregate_backward(d_out, ds.graph, pool_ctx)
-                      .bitwise_equal(mean_aggregate_backward(d_out, ds.graph,
-                                                             serial_ctx)))
-          << label;
+    pools.push_back(std::make_unique<util::ThreadPool>(threads));
+  }
+
+  for (const auto& name : specs) {
+    core::EvalContext serial_ctx;
+    serial_ctx.accumulator = fp::parse_reduction_spec(name);
+    for (const auto& c : cases) {
+      const Matrix fwd = oracle_mean_aggregate(c.x, *c.graph, serial_ctx);
+      const Matrix bwd =
+          oracle_mean_aggregate_backward(c.x, *c.graph, serial_ctx);
+      for (std::size_t p = 0; p <= pools.size(); ++p) {
+        const core::EvalContext ctx =
+            p == 0 ? serial_ctx : serial_ctx.with_pool(pools[p - 1].get());
+        const std::string label =
+            name + " " + c.name + " pool " +
+            (p == 0 ? std::string("none")
+                    : std::to_string(pools[p - 1]->size()));
+        EXPECT_TRUE(mean_aggregate(c.x, *c.graph, ctx).bitwise_equal(fwd))
+            << label;
+        EXPECT_TRUE(
+            mean_aggregate_backward(c.x, *c.graph, ctx).bitwise_equal(bwd))
+            << label;
+      }
     }
   }
+}
+
+// Only the non-deterministic path runs tensor::index_add (the paper's ND
+// source); the deterministic one names its own site in the trace.
+TEST(Layers, OnlyNdAggregationRunsIndexAdd) {
+  const Graph g = awkward_graph();
+  const Matrix x = awkward_features(8, 5, 9);
+  obs::Recorder recorder;
+  core::EvalContext det;
+  det.recorder = &recorder;
+  (void)mean_aggregate(x, g, det);
+  (void)mean_aggregate_backward(x, g, det);
+  EXPECT_EQ(recorder.metrics().counter("tensor.index_add.calls").value(), 0u);
+  std::set<std::string> sites;
+  for (const auto& p : recorder.sorted_provenance()) {
+    sites.insert(p.record.site);
+  }
+  EXPECT_TRUE(sites.count("dl.mean_aggregate"));
+  EXPECT_TRUE(sites.count("dl.mean_aggregate_backward"));
+
+  core::RunContext run(5, 0);
+  core::EvalContext nd = core::EvalContext::nondeterministic_on(run);
+  nd.recorder = &recorder;
+  (void)mean_aggregate(x, g, nd);
+  (void)mean_aggregate_backward(x, g, nd);
+  EXPECT_EQ(recorder.metrics().counter("tensor.index_add.calls").value(), 2u);
+}
+
+TEST(Graph, AdjacencyGroupsEdgesInEdgeOrder) {
+  const Graph g = awkward_graph();
+  const Adjacency& in = g.in_adjacency();
+  const Adjacency& out = g.out_adjacency();
+  ASSERT_EQ(in.offsets.size(), 9u);
+  ASSERT_EQ(out.offsets.size(), 9u);
+  const auto deg = g.in_degrees();
+  for (std::int64_t v = 0; v < g.num_nodes(); ++v) {
+    std::vector<std::int64_t> sources, targets;
+    for (std::size_t e = 0; e < g.edge_src().size(); ++e) {
+      if (g.edge_dst()[e] == v) sources.push_back(g.edge_src()[e]);
+      if (g.edge_src()[e] == v) targets.push_back(g.edge_dst()[e]);
+    }
+    const auto in_v = in.of(v);
+    const auto out_v = out.of(v);
+    EXPECT_EQ(std::vector<std::int64_t>(in_v.begin(), in_v.end()), sources);
+    EXPECT_EQ(std::vector<std::int64_t>(out_v.begin(), out_v.end()), targets);
+    EXPECT_EQ(in.degree(v), deg[static_cast<std::size_t>(v)]);
+  }
+  // A later edge regroups; copies keep the grouping of their own edges.
+  Graph grown = g;
+  grown.add_edge(6, 7);
+  EXPECT_EQ(grown.in_adjacency().degree(7), 1);
+  EXPECT_EQ(g.in_adjacency().degree(7), 0);
 }
 
 // Numerical gradient check of the full model loss w.r.t. a few weights.
@@ -604,13 +758,9 @@ TEST(Model, GradientSinkEmitsEveryParameterInReverseLayerOrder) {
   util::Xoshiro256pp rng(7);
   const util::UniformReal dist(-1.0, 1.0);
   const std::int64_t nodes = 12;
-  Graph graph;
-  graph.num_nodes = nodes;
+  Graph graph(nodes);
   for (std::int64_t v = 0; v + 1 < nodes; ++v) {
-    graph.edge_src.push_back(v);
-    graph.edge_dst.push_back(v + 1);
-    graph.edge_src.push_back(v + 1);
-    graph.edge_dst.push_back(v);
+    graph.add_undirected_edge(v, v + 1);
   }
   Matrix features(tensor::Shape{nodes, 6}, 0.0f);
   for (auto& x : features.vec()) x = static_cast<float>(dist(rng));
@@ -1045,6 +1195,55 @@ TEST(Trainer, LossScaleMetricsLandInRecorder) {
     if (row.name == "dl.loss_scale.scale") saw_scale_gauge = true;
   }
   EXPECT_TRUE(saw_scale_gauge);
+}
+
+// Final weights of a Cora-small training run, pinned to the values of
+// the index_add-based aggregation this stack used before its CSR row
+// stream: neither that kernel nor the first layer's parameter-only
+// backward moved a bit. The weights pass through float expf/logf, so the
+// pins assume a libm that rounds them as glibc does.
+TEST(Trainer, CoraSmallWeightsMatchPinnedFingerprints) {
+  const auto ds = make_synthetic_citation_dataset(DatasetConfig::small());
+  util::ThreadPool pool(2);
+  for (const auto& [name, bits] :
+       {std::pair<const char*, std::uint64_t>{"serial", 0x02303de2a06b6e34},
+        std::pair<const char*, std::uint64_t>{"kahan@bf16:f32",
+                                              0xecca420bc7ca09b3}}) {
+    for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr),
+                                &pool}) {
+      TrainConfig config;
+      config.epochs = 4;
+      config.hidden = 16;
+      config.accumulator = fp::parse_reduction_spec(name);
+      config.pool = p;
+      core::RunContext run(3, 0);
+      obs::Fingerprint print;
+      print.feed(std::span<const double>(train(ds, config, run).final_weights));
+      EXPECT_EQ(print.value(), bits) << name << (p ? " pooled" : "");
+    }
+  }
+}
+
+// A loss scale the data-parallel step cannot honour is refused, never
+// silently dropped.
+TEST(DataParallel, RejectsLossScaling) {
+  const auto ds = make_synthetic_citation_dataset(tiny_config());
+  DataParallelConfig config;
+  config.base.epochs = 1;
+  config.base.hidden = 4;
+  config.ranks = 2;
+  for (const auto scale : {LossScaleConfig::static_scale(8.0f),
+                           LossScaleConfig::dynamic(1024.0f)}) {
+    config.base.loss_scale = scale;
+    core::RunContext run(1, 0);
+    EXPECT_THROW((void)train_data_parallel(ds, config, run),
+                 std::invalid_argument);
+  }
+  config.base.loss_scale = LossScaleConfig::none();
+  core::RunContext run(1, 0);
+  const auto result = train_data_parallel(ds, config, run);
+  EXPECT_EQ(result.epoch_loss_scale, std::vector<float>{1.0f});
+  EXPECT_EQ(result.skipped_steps, 0);
 }
 
 TEST(Trainer, InferenceDvsNd) {

@@ -911,7 +911,9 @@ TEST(Simd, SupportAndForceScalarRoundTrip) {
   ForceScalarGuard guard;
   const SimdSupport& support = simd_support();
   // AVX-512F implies AVX2 on every real CPU; the detector preserves it.
-  if (support.avx512f) EXPECT_TRUE(support.avx2);
+  if (support.avx512f) {
+    EXPECT_TRUE(support.avx2);
+  }
   const std::string isa = simd_active_isa();
   EXPECT_TRUE(isa == "avx512f" || isa == "avx2" || isa == "scalar");
 
