@@ -92,8 +92,17 @@ class SageConv {
     Matrix h_neigh;  // aggregated neighbour features
   };
 
+  /// mean_aggregate(x), then combine.
   Matrix forward(const Matrix& x, const Graph& graph,
                  const tensor::OpContext& ctx, Cache* cache = nullptr) const;
+
+  /// The layer's dense half: x W_self + b + h_neigh W_neigh, with
+  /// h_neigh the rows' aggregated neighbour features. Row i of the
+  /// result depends on row i of x and h_neigh only (each dense kernel
+  /// streams a row on its own), so serving runs it on a gathered batch
+  /// of request rows and gets the full-graph forward's row bits.
+  Matrix combine(const Matrix& x, const Matrix& h_neigh,
+                 const core::EvalContext& ctx) const;
 
   /// Returns dX (both the self path and the aggregation path). `sink`
   /// fires for lin_self.grad_weight, lin_self.grad_bias and

@@ -42,7 +42,10 @@ using Matrix = tensor::Tensor<float>;
 Matrix matmul(const Matrix& a, const Matrix& b,
               const core::EvalContext& ctx = {});
 
-/// C = A^T[m,k] * B[m,n] -> [k,n] (used for weight gradients).
+/// C = A^T[m,k] * B[m,n] -> [k,n] (used for weight gradients): the
+/// strided form of matmul - the same kernel reading A with its row and
+/// column strides swapped, so output row p folds A[i,p] * B[i,:] in
+/// ascending i with matmul's sparsity skip and row-block rule.
 Matrix matmul_transpose_a(const Matrix& a, const Matrix& b,
                           const core::EvalContext& ctx = {});
 

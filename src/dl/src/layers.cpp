@@ -159,15 +159,20 @@ SageConv::SageConv(std::int64_t in_features, std::int64_t out_features,
 Matrix SageConv::forward(const Matrix& x, const Graph& graph,
                          const tensor::OpContext& ctx, Cache* cache) const {
   Matrix h_neigh = mean_aggregate(x, graph, ctx);
-  Matrix out = lin_self.forward(x, ctx);
-  // lin_neigh's bias is folded into lin_self's (one bias per output unit,
-  // like PyG's SAGEConv); apply only the matmul here.
-  out = add(out, matmul(h_neigh, lin_neigh.weight, ctx), ctx);
+  Matrix out = combine(x, h_neigh, ctx);
   if (cache != nullptr) {
     cache->x = x;
     cache->h_neigh = std::move(h_neigh);
   }
   return out;
+}
+
+Matrix SageConv::combine(const Matrix& x, const Matrix& h_neigh,
+                         const core::EvalContext& ctx) const {
+  // lin_neigh's bias is folded into lin_self's (one bias per output unit,
+  // like PyG's SAGEConv); apply only the matmul here.
+  const Matrix self = lin_self.forward(x, ctx);
+  return add(self, matmul(h_neigh, lin_neigh.weight, ctx), ctx);
 }
 
 void SageConv::accumulate_gradients(const Cache& cache, const Matrix& d_out,

@@ -89,16 +89,22 @@ const Matrix& maybe_quantized_for(const fp::ReductionSpec& spec,
   return maybe_quantized(m, fp::QuantizeBf16{}, store);
 }
 
-/// matmul restricted to inner indices [k_begin, k_end): the building block
-/// of both matmul (full range) and matmul_split_k (one chunk per call).
+/// C[r, :] = sum over inner index q in [k_begin, k_end) of
+/// A(r, q) * B[q, :], where A(r, q) = a.flat(r * a_row + q * a_col): the
+/// one axpy-shaped GEMM kernel. matmul reads A row-major (a_row = k,
+/// a_col = 1), matmul_transpose_a reads it transposed (a_row = 1,
+/// a_col = k), and matmul_split_k runs one inner chunk per call.
 /// Row-blocked over the output; per element the contributions fold in
-/// ascending p order through the context's reduction spec, with the
-/// native serial spec special-cased to the classic i-k-j in-place loop
-/// (bitwise identical to the seed implementation, unit-stride loops).
+/// ascending q order through the context's reduction spec, with the
+/// native serial spec special-cased to the classic in-place r-q-j loop
+/// (bitwise identical to the seed implementation, unit-stride over B and
+/// C). A storage-quantized A(r, q) == 0.0f contributes nothing (the
+/// sparsity skip every spec shares).
 void matmul_k_range(Matrix& c, const Matrix& a, const Matrix& b,
+                    std::int64_t a_row, std::int64_t a_col,
                     std::int64_t k_begin, std::int64_t k_end,
-                    const core::EvalContext& ctx) {
-  const std::int64_t m = a.size(0), k = a.size(1), n = b.size(1);
+                    const core::EvalContext& ctx, const char* trace_name) {
+  const std::int64_t n = c.size(1);
   fp::visit_reduction<float>(
       ctx.reduction_in_effect(), [&](auto tag, auto acc_c, auto quantize) {
         using A = typename decltype(acc_c)::type;
@@ -106,41 +112,41 @@ void matmul_k_range(Matrix& c, const Matrix& a, const Matrix& b,
         std::optional<Matrix> qa_store, qb_store;
         const Matrix& qa = maybe_quantized(a, quantize, qa_store);
         const Matrix& qb = maybe_quantized(b, quantize, qb_store);
-        for_each_row_block(ctx, m, (k_end - k_begin) * n,
+        for_each_row_block(ctx, c.size(0), (k_end - k_begin) * n,
                            [&](std::int64_t r0, std::int64_t r1) {
           if constexpr (kNativeSerialF32<Acc, decltype(quantize)>) {
             const float* __restrict pa = a.data().data();
             const float* __restrict pb = b.data().data();
             float* __restrict pc = c.data().data();
-            for (std::int64_t i = r0; i < r1; ++i) {
-              float* __restrict crow = pc + i * n;
-              for (std::int64_t p = k_begin; p < k_end; ++p) {
-                const float av = pa[i * k + p];
+            for (std::int64_t r = r0; r < r1; ++r) {
+              float* __restrict crow = pc + r * n;
+              for (std::int64_t q = k_begin; q < k_end; ++q) {
+                const float av = pa[r * a_row + q * a_col];
                 if (av == 0.0f) continue;
-                const float* __restrict brow = pb + p * n;
+                const float* __restrict brow = pb + q * n;
                 for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
               }
             }
           } else {
             std::vector<Acc> row(static_cast<std::size_t>(n));
-            for (std::int64_t i = r0; i < r1; ++i) {
+            for (std::int64_t r = r0; r < r1; ++r) {
               for (auto& acc : row) acc = Acc{};
-              for (std::int64_t p = k_begin; p < k_end; ++p) {
-                const float av = qa.flat(i * k + p);
+              for (std::int64_t q = k_begin; q < k_end; ++q) {
+                const float av = qa.flat(r * a_row + q * a_col);
                 if (av == 0.0f) continue;  // same sparsity skip as serial
-                const std::int64_t brow = p * n;
+                const std::int64_t brow = q * n;
                 for (std::int64_t j = 0; j < n; ++j) {
                   row[static_cast<std::size_t>(j)].add(
                       static_cast<A>(av * qb.flat(brow + j)));
                 }
               }
               for (std::int64_t j = 0; j < n; ++j) {
-                c.flat(i * n + j) = static_cast<float>(
+                c.flat(r * n + j) = static_cast<float>(
                     row[static_cast<std::size_t>(j)].result());
               }
             }
           }
-        }, "dl.matmul.block");
+        }, trace_name);
       });
 }
 
@@ -165,7 +171,7 @@ Matrix matmul(const Matrix& a, const Matrix& b, const core::EvalContext& ctx) {
           .counter("dl.matmul.flops")
           .add(static_cast<std::uint64_t>(2 * m * k * n));
     }
-    matmul_k_range(c, a, b, 0, k, ctx);
+    matmul_k_range(c, a, b, k, 1, 0, k, ctx, "dl.matmul.block");
   }
   if (ctx.recorder != nullptr) {
     const std::string spec = fp::to_string(ctx.reduction_in_effect());
@@ -185,54 +191,10 @@ Matrix matmul_transpose_a(const Matrix& a, const Matrix& b,
   if (b.size(0) != m) {
     throw std::invalid_argument("matmul_transpose_a: outer mismatch");
   }
-  // Row-blocked over the *output* rows (the k dimension of A): the seed's
-  // i-p-j loop adds row i's contribution to every output row, so the
-  // parallel form re-nests to p-i-j - per element the same ascending-i
-  // stream, now wholly owned by one task.
+  // Output row p folds A's column p: the same ascending-i stream as the
+  // seed's i-p-j loop per element, re-nested so one task owns a row.
   Matrix c(tensor::Shape{k, n}, 0.0f);
-  fp::visit_reduction<float>(
-      ctx.reduction_in_effect(), [&](auto tag, auto acc_c, auto quantize) {
-        using A = typename decltype(acc_c)::type;
-        using Acc = typename decltype(tag)::template accumulator_t<A>;
-        std::optional<Matrix> qa_store, qb_store;
-        const Matrix& qa = maybe_quantized(a, quantize, qa_store);
-        const Matrix& qb = maybe_quantized(b, quantize, qb_store);
-        for_each_row_block(ctx, k, m * n,
-                           [&](std::int64_t p0, std::int64_t p1) {
-          if constexpr (kNativeSerialF32<Acc, decltype(quantize)>) {
-            const float* __restrict pa = a.data().data();
-            const float* __restrict pb = b.data().data();
-            float* __restrict pc = c.data().data();
-            for (std::int64_t p = p0; p < p1; ++p) {
-              float* __restrict crow = pc + p * n;
-              for (std::int64_t i = 0; i < m; ++i) {
-                const float av = pa[i * k + p];
-                if (av == 0.0f) continue;
-                const float* __restrict brow = pb + i * n;
-                for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-              }
-            }
-          } else {
-            std::vector<Acc> row(static_cast<std::size_t>(n));
-            for (std::int64_t p = p0; p < p1; ++p) {
-              for (auto& acc : row) acc = Acc{};
-              for (std::int64_t i = 0; i < m; ++i) {
-                const float av = qa.flat(i * k + p);
-                if (av == 0.0f) continue;  // same sparsity skip as serial
-                const std::int64_t brow = i * n;
-                for (std::int64_t j = 0; j < n; ++j) {
-                  row[static_cast<std::size_t>(j)].add(
-                      static_cast<A>(av * qb.flat(brow + j)));
-                }
-              }
-              for (std::int64_t j = 0; j < n; ++j) {
-                c.flat(p * n + j) = static_cast<float>(
-                    row[static_cast<std::size_t>(j)].result());
-              }
-            }
-          }
-        }, "dl.matmul_transpose_a.block");
-      });
+  matmul_k_range(c, a, b, 1, k, 0, m, ctx, "dl.matmul_transpose_a.block");
   return c;
 }
 
@@ -329,7 +291,8 @@ Matrix matmul_split_k(const Matrix& a, const Matrix& b, std::size_t splits,
   for (std::int64_t t = 0; t < s; ++t) {
     const std::int64_t k_end = k_begin + base + (t < rem ? 1 : 0);
     partials.emplace_back(tensor::Shape{m, n}, 0.0f);
-    matmul_k_range(partials.back(), aa, bb, k_begin, k_end, chunk_ctx);
+    matmul_k_range(partials.back(), aa, bb, k, 1, k_begin, k_end, chunk_ctx,
+                   "dl.matmul.block");
     if (ctx.recorder != nullptr) {
       ctx.recorder->provenance(
           {"dl.matmul_split_k", "partial", t, -1, spec_str,

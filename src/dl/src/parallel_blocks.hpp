@@ -1,8 +1,8 @@
 #pragma once
 // Internal helpers shared by the dl kernels (linalg.cpp, aggregate.cpp,
-// layers.cpp, row_forward.cpp): the native-spec test and the row-blocked
-// pool dispatch behind the "bitwise identical to serial by construction"
-// contract. Not installed - implementation detail only.
+// layers.cpp): the native-spec test and the row-blocked pool dispatch
+// behind the "bitwise identical to serial by construction" contract. Not
+// installed - implementation detail only.
 
 #include <algorithm>
 #include <cstdint>

@@ -39,9 +39,10 @@ namespace fpna::obs {
 
 // ------------------------------------------------- bit fingerprints -----
 
-/// FNV-1a 64-bit over value bit patterns - the same stream definition as
-/// bench::BitFingerprint, so a provenance "bits" field and a bench table
-/// "bits" cell computed over the same buffer agree exactly.
+/// FNV-1a 64-bit over value bit patterns: two buffers share a
+/// fingerprint iff (modulo a hash collision) they share every bit. Both
+/// the provenance "bits" fields and the benches' "bits" columns (the
+/// CI determinism gate diffs them across runs) are these values.
 class Fingerprint {
  public:
   void feed(std::uint64_t word) noexcept {

@@ -1,9 +1,10 @@
 #pragma once
 // Inference session: a trained GraphSageModel frozen for serving, plus
 // the deployed-graph state a request's forward needs (the feature table
-// and the layer-1 activation cache), evaluated one request-row at a time
-// through dl's row-wise kernels (dl/row_forward.hpp) and the aggregation
-// kernel serving shares with training (dl/aggregate.hpp).
+// and the layer-1 activation cache). A batch runs through the training
+// layers' own kernels: the neighbour means through the aggregation
+// kernel training shares (dl/aggregate.hpp), then the gathered batch
+// through SageConv::combine, relu and log_softmax_rows.
 //
 // Serving model. A request carries its own feature row and the ids of
 // its neighbours among the *deployed* nodes (the standard inductive
@@ -12,11 +13,13 @@
 // from a cache precomputed once per session with the full-graph kernels.
 // Every reduction involved - per-output-unit dot products, per-column
 // neighbour means, the row softmax - is a stream defined entirely by the
-// request row, so a batch of requests is just a set of independent rows:
+// request row: the dense kernels never mix rows, and splitting a batch
+// into row ranges over the pool only moves which task computes a row. So
 // batch composition, batch size and thread count cannot move any
-// request's bits. deployed_request() builds the request that reproduces
-// a deployed node's offline forward row bitwise (certified in
-// serve_test for every tested ReductionSpec).
+// request's bits, and a request's row is the row the offline full-graph
+// forward computes for a node with the same features and in-neighbours.
+// deployed_request() builds that request for a deployed node (certified
+// in serve_test for every registry algorithm and dtype/lane spec).
 
 #include <cstdint>
 #include <exception>
@@ -68,17 +71,23 @@ class InferenceSession {
   InferenceSession(const dl::GraphSageModel& model,
                    const dl::Dataset& dataset, const core::EvalContext& ctx);
 
-  /// One request's forward through the row-wise kernels. Pure function
-  /// of (request, weights, tables, ctx spec) - the reference the batch
-  /// paths are certified against.
+  /// One request's forward: batch_forward of a one-request batch,
+  /// rethrowing that row's error. Pure function of (request, weights,
+  /// tables, ctx spec) - the reference the batch paths are certified
+  /// against.
   std::vector<float> row_forward(const Request& request,
                                  const core::EvalContext& ctx) const;
 
-  /// Batched forward: rows computed independently (pooled over requests
-  /// when ctx.pool is set), each with per-row exception containment.
-  /// Emits one provenance record per request (site "serve.request",
-  /// index = request id) from the calling thread in batch order when
-  /// ctx.recorder is set.
+  /// Batched forward, row ranges split over ctx.pool when it is set.
+  /// Each range runs in two phases. Per row: the fault hook, the
+  /// feature-width check and the two neighbour means; a throw there
+  /// becomes that row's error and fails only it. Then the range's rows
+  /// as matrices through conv1.combine, relu, conv2.combine and
+  /// log_softmax_rows, unpooled inside the range's task.
+  /// Emits a "serve.batch" span and one provenance record per request
+  /// (site "serve.request", index = request id) from the calling thread
+  /// in batch order when ctx.recorder is set; the dense kernels run
+  /// untraced, so no record depends on the batch composition.
   std::vector<RowOutcome> batch_forward(std::span<const Request> batch,
                                         const core::EvalContext& ctx,
                                         const FaultHook& fault_hook = {}) const;

@@ -1,7 +1,9 @@
 // The serving determinism contract, pinned:
 //
 //  * a deployed node's served row reproduces the offline full-graph
-//    forward's row bitwise, per ReductionSpec;
+//    forward's row bitwise, per ReductionSpec, alone and in one pooled
+//    batch of every node; a never-seen request reproduces the offline
+//    forward's row of a graph with the request appended as a new node;
 //  * per-request output bits are invariant to batch cap, batch
 //    composition, thread count and admission order (the same request set
 //    replayed under caps {1,2,8,64} x threads {1,2,8} x 4 specs,
@@ -9,12 +11,14 @@
 //  * a seeded overload burst against a tiny queue neither drops nor
 //    corrupts a single request (backpressure blocks, never shed);
 //  * a worker exception fails exactly the owning requests' futures and
-//    deadlocks nothing (the batcher's join-and-rethrow audit).
+//    deadlocks nothing (the batcher's join-and-rethrow audit), and a
+//    failing row leaves its batch-mates' bits untouched.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <deque>
 #include <future>
@@ -26,7 +30,7 @@
 
 #include "fpna/dl/dataset.hpp"
 #include "fpna/dl/model.hpp"
-#include "fpna/dl/row_forward.hpp"
+#include "fpna/fp/accumulator.hpp"
 #include "fpna/fp/reduction_spec.hpp"
 #include "fpna/obs/recorder.hpp"
 #include "fpna/serve/open_loop.hpp"
@@ -109,27 +113,126 @@ bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
 
 // ------------------------------------------------ row == full graph ----
 
+/// Every registry algorithm plus the dtype/lane specs of dl_test's
+/// aggregation oracle.
+std::vector<std::string> all_specs() {
+  std::vector<std::string> specs;
+  for (const auto& entry : fp::AlgorithmRegistry::instance().entries()) {
+    specs.push_back(entry.name);
+  }
+  for (const char* name :
+       {"serial@bf16:f32", "kahan@bf16:f32", "serial@bf16:bf16",
+        "serial@f32:f64", "superaccumulator@bf16:f32", "pairwise@simd8",
+        "serial@simd4", "kahan@simd8", "klein@simd16",
+        "kahan@simd8:bf16:f32"}) {
+    specs.emplace_back(name);
+  }
+  return specs;
+}
+
+/// Asserts `row` equals row `r` of `full` bit for bit.
+void expect_row_bits(const std::vector<float>& row, const dl::Matrix& full,
+                     std::int64_t r, const std::string& label) {
+  const std::int64_t cols = full.size(1);
+  ASSERT_EQ(static_cast<std::int64_t>(row.size()), cols) << label;
+  for (std::int64_t c = 0; c < cols; ++c) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(row[static_cast<std::size_t>(c)]),
+              std::bit_cast<std::uint32_t>(full.flat(r * cols + c)))
+        << label << " col=" << c;
+  }
+}
+
+// The oracle is the offline full-graph forward, which runs no serving
+// code: every deployed node, served alone and inside one batch of all
+// nodes on a 4-thread pool.
 TEST(InferenceSession, DeployedRowsReproduceFullGraphForwardBitwise) {
   const ServeWorld world;
-  for (const char* spec_text : kSpecs) {
+  util::ThreadPool pool(4);
+  const std::int64_t nodes = world.dataset.num_nodes();
+  std::vector<Request> requests;
+  for (std::int64_t node = 0; node < nodes; ++node) {
+    requests.push_back(InferenceSession::deployed_request(
+        world.dataset, node, static_cast<std::uint64_t>(node)));
+  }
+  for (const std::string& spec_text : all_specs()) {
     core::EvalContext ctx;
     ctx.accumulator = fp::parse_reduction_spec(spec_text);
     const dl::Matrix full = world.model.forward(
         dl::Matrix(world.dataset.features), world.dataset.graph, ctx);
     const InferenceSession session = world.session(*ctx.accumulator);
-    const std::int64_t cols = full.size(1);
-    for (std::int64_t node = 0; node < world.dataset.num_nodes();
-         node += 7) {
-      const Request request = InferenceSession::deployed_request(
-          world.dataset, node, static_cast<std::uint64_t>(node));
-      const std::vector<float> row = session.row_forward(request, ctx);
-      ASSERT_EQ(static_cast<std::int64_t>(row.size()), cols);
-      for (std::int64_t c = 0; c < cols; ++c) {
-        ASSERT_EQ(std::bit_cast<std::uint32_t>(
-                      row[static_cast<std::size_t>(c)]),
-                  std::bit_cast<std::uint32_t>(full.flat(node * cols + c)))
-            << "spec=" << spec_text << " node=" << node << " col=" << c;
+    const auto batched = session.batch_forward(requests, ctx.with_pool(&pool));
+    ASSERT_EQ(batched.size(), requests.size());
+    for (std::int64_t node = 0; node < nodes; ++node) {
+      const auto i = static_cast<std::size_t>(node);
+      const std::string label =
+          "spec=" + spec_text + " node=" + std::to_string(node);
+      expect_row_bits(session.row_forward(requests[i], ctx), full, node,
+                      label + " row_forward");
+      ASSERT_EQ(batched[i].error, nullptr) << label;
+      expect_row_bits(batched[i].log_probs, full, node,
+                      label + " batch_forward");
+    }
+  }
+}
+
+// A never-seen request is served as if it were node n of the deployed
+// graph plus itself: its feature row appended, and one edge
+// neighbour -> n per listed neighbour, in list order (the order n's
+// aggregation folds them). The deployed nodes' rows do not change, as n
+// sends no message. Oracle: the offline forward over that graph.
+TEST(InferenceSession, NewRequestsReproduceAppendedNodeForwardBitwise) {
+  const ServeWorld world;
+  const dl::Dataset& ds = world.dataset;
+  const std::int64_t n = ds.num_nodes(), f = ds.num_features();
+  std::vector<Request> requests = make_requests(ds, 20);
+  Request lonely;  // no neighbours: both means are zero rows
+  lonely.features.assign(static_cast<std::size_t>(f), 0.5f);
+  requests.push_back(lonely);
+  Request repeated;  // duplicate neighbours count twice in the mean
+  repeated.features.assign(static_cast<std::size_t>(f), -0.0f);
+  repeated.neighbors = {3, 3, 7, 3, n - 1};
+  requests.push_back(repeated);
+  Request signed_zero;  // alternating -0.0 and +0.0 features
+  for (std::int64_t j = 0; j < f; ++j) {
+    signed_zero.features.push_back(j % 2 == 0 ? -0.0f : 0.0f);
+  }
+  signed_zero.neighbors = {0, 1};
+  requests.push_back(signed_zero);
+  Request large;  // cancelling magnitudes
+  for (std::int64_t j = 0; j < f; ++j) {
+    large.features.push_back(j % 3 == 0 ? 1e8f : (j % 3 == 1 ? -1e8f : 1.0f));
+  }
+  large.neighbors = {5, 11, 17};
+  requests.push_back(large);
+  Request single;  // one neighbour
+  single.features = requests[1].features;
+  single.neighbors = {n / 2};
+  requests.push_back(single);
+  Request deployed = InferenceSession::deployed_request(ds, 9, 0);
+  deployed.neighbors.push_back(9);  // node 9's request plus node 9 itself
+  requests.push_back(deployed);
+  ASSERT_EQ(requests.size(), 26u);
+
+  for (const char* spec_text : kSpecs) {
+    core::EvalContext ctx;
+    ctx.accumulator = fp::parse_reduction_spec(spec_text);
+    const InferenceSession session = world.session(*ctx.accumulator);
+    for (std::size_t r = 0; r < requests.size(); ++r) {
+      const Request& request = requests[r];
+      dl::Graph graph(n + 1);
+      for (std::size_t e = 0; e < ds.graph.edge_src().size(); ++e) {
+        graph.add_edge(ds.graph.edge_src()[e], ds.graph.edge_dst()[e]);
       }
+      for (const std::int64_t u : request.neighbors) graph.add_edge(u, n);
+      dl::Matrix features(tensor::Shape{n + 1, f}, 0.0f);
+      std::copy(ds.features.data().begin(), ds.features.data().end(),
+                features.data().begin());
+      std::copy(request.features.begin(), request.features.end(),
+                features.data().begin() + n * f);
+      const dl::Matrix full = world.model.forward(features, graph, ctx);
+      expect_row_bits(session.row_forward(request, ctx), full, n,
+                      std::string("spec=") + spec_text +
+                          " request=" + std::to_string(r));
     }
   }
 }
@@ -300,16 +403,96 @@ TEST(InferenceServer, InjectedRowThrowFailsOnlyOwningRequests) {
 
 TEST(InferenceSession, BadNeighbourFailsOnlyItsOwnRow) {
   const ServeWorld world;
+  util::ThreadPool pool(4);
+  for (const char* spec_text : kSpecs) {
+    const fp::ReductionSpec spec = fp::parse_reduction_spec(spec_text);
+    const InferenceSession session = world.session(spec);
+    core::EvalContext ctx;
+    ctx.accumulator = spec;
+    auto requests = make_requests(world.dataset, 7);
+    std::vector<std::vector<float>> solo;
+    for (const auto& request : requests) {
+      solo.push_back(session.row_forward(request, ctx));
+    }
+    requests[1].neighbors.push_back(world.dataset.num_nodes() + 5);  // bad id
+    requests[4].neighbors.insert(requests[4].neighbors.begin(), -1);
+    requests[5].features.pop_back();  // wrong width
+    for (const core::EvalContext& run : {ctx, ctx.with_pool(&pool)}) {
+      const std::string label = std::string("spec=") + spec_text +
+                                (run.pool != nullptr ? " pool" : " serial");
+      const auto outcomes = session.batch_forward(requests, run);
+      ASSERT_EQ(outcomes.size(), requests.size());
+      for (const std::size_t i : {1u, 4u}) {
+        ASSERT_NE(outcomes[i].error, nullptr) << label << " row " << i;
+        EXPECT_THROW(std::rethrow_exception(outcomes[i].error),
+                     std::out_of_range) << label << " row " << i;
+        EXPECT_TRUE(outcomes[i].log_probs.empty());
+      }
+      ASSERT_NE(outcomes[5].error, nullptr) << label;
+      EXPECT_THROW(std::rethrow_exception(outcomes[5].error),
+                   std::invalid_argument) << label;
+      for (const std::size_t i : {0u, 2u, 3u, 6u}) {
+        EXPECT_EQ(outcomes[i].error, nullptr) << label << " row " << i;
+        EXPECT_TRUE(bitwise_equal(outcomes[i].log_probs, solo[i]))
+            << label << " row " << i;
+      }
+      EXPECT_THROW((void)session.row_forward(requests[5], run),
+                   std::invalid_argument) << label;
+    }
+  }
+}
+
+TEST(InferenceSession, BatchWhereEveryRowFailsReportsEveryRow) {
+  const ServeWorld world;
   const InferenceSession session = world.session(fp::ReductionSpec{});
+  util::ThreadPool pool(4);
+  auto requests = make_requests(world.dataset, 5);
+  requests[0].neighbors.push_back(world.dataset.num_nodes());
+  requests[1].features.clear();
+  requests[2].neighbors.push_back(-3);
+  requests[3].features.push_back(1.0f);
+  requests[4].neighbors.push_back(1'000'000);
+  obs::Recorder recorder;
   core::EvalContext ctx;
-  auto requests = make_requests(world.dataset, 3);
-  requests[1].neighbors.push_back(world.dataset.num_nodes() + 5);  // bad id
-  const auto outcomes = session.batch_forward(requests, ctx);
-  ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_EQ(outcomes[0].error, nullptr);
-  ASSERT_NE(outcomes[1].error, nullptr);
-  EXPECT_THROW(std::rethrow_exception(outcomes[1].error), std::out_of_range);
-  EXPECT_EQ(outcomes[2].error, nullptr);
+  ctx.recorder = &recorder;
+  for (const core::EvalContext& run : {ctx, ctx.with_pool(&pool)}) {
+    const auto outcomes = session.batch_forward(requests, run);
+    ASSERT_EQ(outcomes.size(), requests.size());
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      EXPECT_NE(outcomes[i].error, nullptr) << "row " << i;
+      EXPECT_TRUE(outcomes[i].log_probs.empty()) << "row " << i;
+    }
+  }
+  // Each failed request leaves one "error" record and nothing else: the
+  // dense kernels run untraced, so no dl.* record appears.
+  std::size_t errors = 0;
+  for (const auto& p : recorder.sorted_provenance()) {
+    EXPECT_EQ(p.record.site, "serve.request");
+    EXPECT_EQ(p.record.kind, "error");
+    ++errors;
+  }
+  EXPECT_EQ(errors, 2 * requests.size());
+}
+
+// A traced batch records its requests, never the dense kernels' batch
+// matrices (whose bits depend on the batch composition).
+TEST(InferenceSession, TracedBatchEmitsOnlyServeRecords) {
+  const ServeWorld world;
+  const InferenceSession session = world.session(fp::ReductionSpec{});
+  util::ThreadPool pool(4);
+  obs::Recorder recorder;
+  core::EvalContext ctx;
+  ctx.recorder = &recorder;
+  const auto requests = make_requests(world.dataset, 6);
+  (void)session.batch_forward(requests, ctx);
+  (void)session.batch_forward(requests, ctx.with_pool(&pool));
+  std::size_t records = 0;
+  for (const auto& p : recorder.sorted_provenance()) {
+    EXPECT_EQ(p.record.site, "serve.request");
+    EXPECT_EQ(p.record.kind, "result");
+    ++records;
+  }
+  EXPECT_EQ(records, 2 * requests.size());
 }
 
 // --------------------------------------------------- MPSC queue --------
