@@ -58,7 +58,8 @@ void distributed_sum_variability(std::size_t size, std::size_t runs,
           collective::Algorithm::kArrivalTree,
           collective::Algorithm::kReproducible}) {
       const auto kernel = [&](core::RunContext& ctx) {
-        return collective::distributed_sum(data, ranks, algorithm, &ctx);
+        return collective::distributed_sum(data, ranks, algorithm,
+                                           core::EvalContext{.run = &ctx});
       };
       const auto cert =
           core::certify_deterministic_scalar(kernel, 10, seed + 1);

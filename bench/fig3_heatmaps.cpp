@@ -31,7 +31,7 @@ double scatter_vc(std::int64_t dim, double ratio, std::size_t runs,
   double total = 0.0;
   for (std::size_t r = 0; r < runs; ++r) {
     core::RunContext run(seed + 1, r);
-    const auto ctx = tensor::nd_context(run);
+    const core::EvalContext ctx{.run = &run};
     const auto out = tensor::scatter_reduce(w.self, 0, w.index, w.src,
                                             tensor::Reduce::kSum, true, ctx);
     total += core::vc(det.data(), out.data());
@@ -47,7 +47,7 @@ double index_add_vc(std::int64_t dim, double ratio, std::size_t runs,
   double total = 0.0;
   for (std::size_t r = 0; r < runs; ++r) {
     core::RunContext run(seed + 1, r);
-    const auto ctx = tensor::nd_context(run);
+    const core::EvalContext ctx{.run = &run};
     const auto out = tensor::index_add(w.self, 0, w.index, w.source, 1.0f, ctx);
     total += core::vc(det.data(), out.data());
   }

@@ -32,7 +32,7 @@ Series measure(MakeDet&& make_det, MakeNd&& make_nd, std::size_t runs,
   std::vector<double> vcs, vermvs;
   for (std::size_t r = 0; r < runs; ++r) {
     core::RunContext run(seed, r);
-    const auto ctx = tensor::nd_context(run);
+    const core::EvalContext ctx{.run = &run};
     const tensor::TensorF out = make_nd(ctx);
     vcs.push_back(core::vc(det.data(), out.data()));
     vermvs.push_back(core::vermv(det.data(), out.data()));
@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
           return tensor::scatter_reduce(ws.self, 0, ws.index, ws.src,
                                         tensor::Reduce::kSum);
         },
-        [&](const tensor::OpContext& ctx) {
+        [&](const core::EvalContext& ctx) {
           return tensor::scatter_reduce(ws.self, 0, ws.index, ws.src,
                                         tensor::Reduce::kSum, true, ctx);
         },
@@ -83,14 +83,14 @@ int main(int argc, char** argv) {
           return tensor::scatter_reduce(ws.self, 0, ws.index, ws.src,
                                         tensor::Reduce::kMean);
         },
-        [&](const tensor::OpContext& ctx) {
+        [&](const core::EvalContext& ctx) {
           return tensor::scatter_reduce(ws.self, 0, ws.index, ws.src,
                                         tensor::Reduce::kMean, true, ctx);
         },
         runs, seed + 2);
     const Series ia_series = measure(
         [&] { return tensor::index_add(wi.self, 0, wi.index, wi.source); },
-        [&](const tensor::OpContext& ctx) {
+        [&](const core::EvalContext& ctx) {
           return tensor::index_add(wi.self, 0, wi.index, wi.source, 1.0f, ctx);
         },
         runs, seed + 3);

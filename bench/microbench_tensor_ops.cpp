@@ -31,7 +31,7 @@ void BM_ScatterReduceSum_ND(benchmark::State& state) {
   std::uint64_t r = 0;
   for (auto _ : state) {
     core::RunContext run(7, r++);
-    const auto ctx = tensor::nd_context(run);
+    const core::EvalContext ctx{.run = &run};
     benchmark::DoNotOptimize(tensor::scatter_reduce(
         w.self, 0, w.index, w.src, tensor::Reduce::kSum, true, ctx));
   }
@@ -54,7 +54,7 @@ void BM_IndexAdd_ND(benchmark::State& state) {
   std::uint64_t r = 0;
   for (auto _ : state) {
     core::RunContext run(7, r++);
-    const auto ctx = tensor::nd_context(run);
+    const core::EvalContext ctx{.run = &run};
     benchmark::DoNotOptimize(
         tensor::index_add(w.self, 0, w.index, w.source, 1.0f, ctx));
   }
@@ -77,7 +77,7 @@ void BM_Cumsum_ND(benchmark::State& state) {
   std::uint64_t r = 0;
   for (auto _ : state) {
     core::RunContext run(7, r++);
-    const auto ctx = tensor::nd_context(run);
+    const core::EvalContext ctx{.run = &run};
     benchmark::DoNotOptimize(tensor::cumsum(t, 0, ctx));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -103,7 +103,7 @@ void BM_ConvTranspose2d_ND(benchmark::State& state) {
   std::uint64_t r = 0;
   for (auto _ : state) {
     core::RunContext run(7, r++);
-    const auto ctx = tensor::nd_context(run);
+    const core::EvalContext ctx{.run = &run};
     benchmark::DoNotOptimize(
         tensor::conv_transpose2d(input, weight, nullptr, {}, ctx));
   }

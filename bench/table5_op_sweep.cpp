@@ -34,7 +34,7 @@ namespace {
 
 /// One hyperparameter configuration of an op: runs the op (deterministic
 /// when ctx is null / default, ND otherwise) and returns the output.
-using ConfigKernel = std::function<TensorF(const tensor::OpContext&)>;
+using ConfigKernel = std::function<TensorF(const core::EvalContext&)>;
 
 struct OpSweep {
   std::string name;
@@ -43,11 +43,11 @@ struct OpSweep {
 
 double mean_vermv(const ConfigKernel& kernel, std::size_t runs,
                   std::uint64_t seed) {
-  const TensorF reference = kernel(tensor::OpContext{});
+  const TensorF reference = kernel(core::EvalContext{});
   double total = 0.0;
   for (std::size_t r = 0; r < runs; ++r) {
     core::RunContext run(seed, r);
-    const auto ctx = tensor::nd_context(run);
+    const core::EvalContext ctx{.run = &run};
     const TensorF out = kernel(ctx);
     total += core::vermv(reference.data(), out.data());
   }
@@ -71,7 +71,7 @@ std::vector<OpSweep> build_sweeps(std::uint64_t seed) {
       tensor::ConvTransposeParams<1> p;
       p.stride = {stride};
       p.padding = {pad};
-      s.configs.push_back([=](const tensor::OpContext& ctx) {
+      s.configs.push_back([=](const core::EvalContext& ctx) {
         return tensor::conv_transpose1d(input, weight, nullptr, p, ctx);
       });
     }
@@ -88,7 +88,7 @@ std::vector<OpSweep> build_sweeps(std::uint64_t seed) {
           tensor::random_uniform<float>(Shape{4, 4, k, k}, -1, 1, rng);
       tensor::ConvTransposeParams<2> p;
       p.stride = {stride, stride};
-      s.configs.push_back([=](const tensor::OpContext& ctx) {
+      s.configs.push_back([=](const core::EvalContext& ctx) {
         return tensor::conv_transpose2d(input, weight, nullptr, p, ctx);
       });
     }
@@ -101,7 +101,7 @@ std::vector<OpSweep> build_sweeps(std::uint64_t seed) {
           tensor::random_uniform<float>(Shape{1, 3, 6, 6, 6}, -1, 1, rng);
       const auto weight =
           tensor::random_uniform<float>(Shape{3, 3, k, k, k}, -1, 1, rng);
-      s.configs.push_back([=](const tensor::OpContext& ctx) {
+      s.configs.push_back([=](const core::EvalContext& ctx) {
         return tensor::conv_transpose3d(input, weight, nullptr, {}, ctx);
       });
     }
@@ -113,7 +113,7 @@ std::vector<OpSweep> build_sweeps(std::uint64_t seed) {
     OpSweep s{"cumsum", {}};
     for (const std::int64_t n : {256, 2048, 16384}) {
       const auto input = tensor::random_uniform<float>(Shape{n}, 0, 1, rng);
-      s.configs.push_back([=](const tensor::OpContext& ctx) {
+      s.configs.push_back([=](const core::EvalContext& ctx) {
         return tensor::cumsum(input, 0, ctx);
       });
     }
@@ -127,7 +127,7 @@ std::vector<OpSweep> build_sweeps(std::uint64_t seed) {
          std::vector<std::pair<std::int64_t, double>>{
              {40, 0.2}, {80, 0.5}, {120, 1.0}}) {
       auto w = tensor::make_index_add_workload<float>(dim, ratio, rng);
-      s.configs.push_back([=](const tensor::OpContext& ctx) {
+      s.configs.push_back([=](const core::EvalContext& ctx) {
         return tensor::index_add(w.self, 0, w.index, w.source, 1.0f, ctx);
       });
     }
@@ -142,7 +142,7 @@ std::vector<OpSweep> build_sweeps(std::uint64_t seed) {
       const auto source =
           tensor::random_uniform<float>(Shape{2 * n}, 0, 1, rng);
       const auto index = tensor::random_index(2 * n, n, rng);
-      s.configs.push_back([=](const tensor::OpContext& ctx) {
+      s.configs.push_back([=](const core::EvalContext& ctx) {
         return tensor::index_copy(self, 0, index, source, ctx);
       });
     }
@@ -156,7 +156,7 @@ std::vector<OpSweep> build_sweeps(std::uint64_t seed) {
       const auto values =
           tensor::random_uniform<float>(Shape{24000}, 0, 1, rng);
       const auto index = tensor::random_index(24000, 8000, rng);
-      s.configs.push_back([=](const tensor::OpContext& ctx) {
+      s.configs.push_back([=](const core::EvalContext& ctx) {
         return tensor::index_put(self, index, values, accumulate, ctx);
       });
     }
@@ -170,7 +170,7 @@ std::vector<OpSweep> build_sweeps(std::uint64_t seed) {
       TensorI index(Shape{2 * n});
       const util::UniformInt dist(0, n - 1);
       for (auto& x : index.vec()) x = dist(rng);
-      s.configs.push_back([=](const tensor::OpContext& ctx) {
+      s.configs.push_back([=](const core::EvalContext& ctx) {
         return tensor::scatter(self, 0, index, src, ctx);
       });
     }
@@ -187,7 +187,7 @@ std::vector<OpSweep> build_sweeps(std::uint64_t seed) {
              {4000, 0.5, tensor::Reduce::kMean},
              {8000, 1.0, tensor::Reduce::kSum}}) {
       auto w = tensor::make_scatter_workload<float>(n, ratio, rng);
-      s.configs.push_back([=](const tensor::OpContext& ctx) {
+      s.configs.push_back([=](const core::EvalContext& ctx) {
         return tensor::scatter_reduce(w.self, 0, w.index, w.src, mode, true,
                                       ctx);
       });

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   ref_config.deterministic = true;
   core::RunContext ref_run(seed, 0);
   const auto ref_train = dl::train(ds, ref_config, ref_run);
-  const tensor::OpContext det_ctx;
+  const core::EvalContext det_ctx;
   const dl::Matrix reference = dl::infer(ref_train.model, ds, det_ctx);
 
   const auto measure = [&](bool det_train, bool det_infer) {
@@ -57,8 +57,8 @@ int main(int argc, char** argv) {
       core::RunContext train_run(seed + 100, r);
       const auto trained = dl::train(ds, config, train_run);
       core::RunContext infer_run(seed + 200, r);
-      tensor::OpContext ctx;
-      if (!det_infer) ctx = tensor::nd_context(infer_run);
+      core::EvalContext ctx;
+      if (!det_infer) ctx = core::EvalContext{.run = &infer_run};
       const dl::Matrix out = dl::infer(trained.model, ds, ctx);
       vermvs.push_back(core::vermv(reference.data(), out.data()));
       vcs.push_back(core::vc(reference.data(), out.data()));

@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   core::RunContext train_run(seed, 0);
   const auto trained = dl::train(ds, config, train_run);
 
-  tensor::OpContext det_ctx;
+  core::EvalContext det_ctx;
   det_ctx.accumulator = spec;
   const dl::Matrix a = dl::infer(trained.model, ds, det_ctx);
   const dl::Matrix b = dl::infer(trained.model, ds, det_ctx);
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
   constexpr std::size_t kNdRuns = 10;
   for (std::uint64_t r = 0; r < kNdRuns; ++r) {
     core::RunContext run(seed + 1, r);
-    auto ctx = tensor::nd_context(run);
+    core::EvalContext ctx{.run = &run};
     const dl::Matrix nd = dl::infer(trained.model, ds, ctx);
     nd_identical += nd.bitwise_equal(a);
   }

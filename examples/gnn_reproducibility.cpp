@@ -61,7 +61,7 @@ int main() {
   // 2. Prediction disagreement between "the same" model trained twice.
   // ------------------------------------------------------------------
   std::cout << "== 2. Do the unique models predict the same labels? ==\n";
-  const tensor::OpContext det_ctx;
+  const core::EvalContext det_ctx;
   const auto preds_a =
       dl::argmax_rows(dl::infer(population[0].model, ds, det_ctx));
   std::size_t worst_disagreement = 0;

@@ -41,7 +41,7 @@ int main() {
     std::vector<double> vcs, vermvs;
     for (std::uint64_t r = 0; r < kRuns; ++r) {
       core::RunContext run(7, r);
-      const auto ctx = tensor::nd_context(run, &profile);
+      const core::EvalContext ctx{.run = &run, .profile = &profile};
       const auto out = tensor::scatter_reduce(w.self, 0, w.index, w.src,
                                               tensor::Reduce::kSum, true, ctx);
       vcs.push_back(core::vc(reference.data(), out.data()));

@@ -121,9 +121,4 @@ std::vector<T> allreduce(const RankDataT<T>& contributions,
 double distributed_sum(std::span<const double> data, std::size_t ranks,
                        Algorithm algorithm, const core::EvalContext& ctx);
 
-/// Historic entry point: optional RunContext, serial local accumulation.
-double distributed_sum(std::span<const double> data, std::size_t ranks,
-                       Algorithm algorithm,
-                       core::RunContext* ctx = nullptr);
-
 }  // namespace fpna::collective

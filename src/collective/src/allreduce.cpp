@@ -238,14 +238,6 @@ double distributed_sum(std::span<const double> data, std::size_t ranks,
   throw std::invalid_argument("distributed_sum: unknown algorithm");
 }
 
-double distributed_sum(std::span<const double> data, std::size_t ranks,
-                       Algorithm algorithm, core::RunContext* ctx) {
-  core::EvalContext ec;
-  ec.run = ctx;
-  ec.deterministic_override = false;
-  return distributed_sum(data, ranks, algorithm, ec);
-}
-
 std::vector<std::size_t> shard_sizes(std::size_t total, std::size_t ranks) {
   if (ranks == 0) throw std::invalid_argument("shard_sizes: zero ranks");
   // Near-even rule from core/chunking.hpp (the same split cpu_sum and

@@ -3,8 +3,8 @@
 //
 // The seed grew five parallel context conventions - fp free functions with
 // ad-hoc parameters, reduce's (RunContext&, num_threads) pairs, collective's
-// optional RunContext*, tensor's OpContext and the dl trainer's config
-// booleans. EvalContext subsumes them: it bundles
+// optional RunContext*, tensor's own op context and the dl trainer's
+// config booleans. EvalContext subsumes them: it bundles
 //
 //   * run        - identity/entropy of one run of a non-deterministic
 //                  kernel (nullptr selects the deterministic path);
@@ -21,8 +21,8 @@
 //                  spans, bit-provenance and metrics when attached,
 //                  bit-identical no-ops when nullptr.
 //
-// tensor::OpContext is an alias of this type, so tensor ops and everything
-// layered on them (dl) take the same context as reduce and collective.
+// Tensor ops and everything layered on them (dl) take this same context
+// as reduce and collective.
 
 #include <optional>
 
@@ -91,14 +91,6 @@ struct EvalContext {
   /// kernels dispatch on this via fp::visit_reduction.
   fp::ReductionSpec reduction_in_effect() const noexcept {
     return accumulator.value_or(fp::ReductionSpec{});
-  }
-
-  /// Deprecated shim for the pre-dtype scalar selector: the algorithm
-  /// axis only, dtypes dropped. Prefer reduction_in_effect(); this
-  /// remains for call sites that genuinely only branch on the algorithm
-  /// (e.g. cumsum's binned-accumulator refusal).
-  fp::AlgorithmId accumulator_in_effect() const noexcept {
-    return reduction_in_effect().algorithm;
   }
 
   /// Whether deterministic implementations are required in this context

@@ -4,11 +4,12 @@
 // direction). P ranks share identical initial weights; the training nodes
 // are sharded across ranks; each epoch every rank runs a deterministic
 // local forward/backward over its shard and the per-parameter gradients
-// synchronize through bucketed allreduces - by default fired DDP-style
-// *during* the backward pass (each bucket launches the moment its last
-// gradient lands, reverse layer order, overlapping reduction with the
-// remaining backward compute; see GradientExchange). The collective
-// algorithm is then the *only* degree of freedom:
+// synchronize through bucketed allreduces fired DDP-style *during* the
+// backward pass: the backward pass emits gradients per tensor in reverse
+// layer order through dl::GradientSink, and a comm::BucketScheduler fires
+// each bucket's allreduce the moment its last tensor lands, overlapping
+// reduction with the remaining backward compute on `pool` when overlap
+// is on. The collective algorithm is then the *only* degree of freedom:
 //
 //   * kReproducible - training is bitwise run-to-run stable for any rank
 //     count, bucket cap and overlap setting (certified in comm_test), and
@@ -40,24 +41,6 @@ enum class ShardSplit {
   kContiguous,   // collective::shard_sizes runs of the training nodes
 };
 
-/// How gradients reach the collective each epoch.
-enum class GradientExchange {
-  /// DDP-style (the default): the backward pass emits gradients per
-  /// tensor in reverse layer order through dl::GradientSink, and a
-  /// comm::BucketScheduler fires each bucket's allreduce the moment its
-  /// last tensor arrives - overlapping reduction with the rest of the
-  /// backward compute on `pool` when overlap is on. Buckets are packed
-  /// over the *emission* order, so the deterministic rounded collectives
-  /// (ring/recursive doubling) commit to a different bucket layout than
-  /// kPacked; the reproducible exchange is layout-invariant and stays
-  /// bitwise equal to kPacked (certified in comm_test).
-  kBucketOverlap,
-  /// PR 2 path: pack every rank's full gradient list, then
-  /// comm::bucketed_allreduce (kept as the packed baseline the overlap
-  /// path is certified against).
-  kPacked,
-};
-
 struct DataParallelConfig {
   /// Local per-rank training setup (epochs, lr, hidden, accumulator,
   /// determinism of the local kernels, init seed). base.loss_scale must
@@ -67,12 +50,12 @@ struct DataParallelConfig {
   std::size_t ranks = 4;
   collective::Algorithm algorithm = collective::Algorithm::kReproducible;
   std::size_t bucket_cap_elements = std::size_t{1} << 16;
-  /// Overlap bucket reduction with packing on `pool` (no-op when null).
+  /// Overlap bucket reductions with the backward pass on `pool` (no-op
+  /// when null).
   bool overlap = false;
   /// Thread pool carrying the overlapped bucket reductions.
   util::ThreadPool* pool = nullptr;
   ShardSplit split = ShardSplit::kRoundRobin;
-  GradientExchange exchange = GradientExchange::kBucketOverlap;
   /// Message path of the gradient collectives (the wire of the
   /// SimProcessGroup the one-argument overload constructs): kAllgather,
   /// or the O(n)-traffic kRing / kButterfly schedules. Deterministic

@@ -18,9 +18,9 @@
 #include <functional>
 #include <vector>
 
+#include "fpna/core/eval_context.hpp"
 #include "fpna/dl/graph.hpp"
 #include "fpna/dl/linalg.hpp"
-#include "fpna/tensor/op_context.hpp"
 #include "fpna/util/rng.hpp"
 
 namespace fpna::dl {
@@ -41,7 +41,7 @@ using GradientSink = std::function<void(const Matrix* grad)>;
 /// list. With a recorder: span and "result" provenance site
 /// "dl.mean_aggregate".
 Matrix mean_aggregate(const Matrix& x, const Graph& graph,
-                      const tensor::OpContext& ctx);
+                      const core::EvalContext& ctx);
 
 /// Backward of mean_aggregate: dX[u] += dOut[v] / deg(v) over edges
 /// u -> v. dOut is pre-scaled by 1/deg, then row u sums the scaled rows
@@ -49,7 +49,7 @@ Matrix mean_aggregate(const Matrix& x, const Graph& graph,
 /// index_add with the edge roles swapped, which the ND path runs. Site
 /// "dl.mean_aggregate_backward".
 Matrix mean_aggregate_backward(const Matrix& d_out, const Graph& graph,
-                               const tensor::OpContext& ctx);
+                               const core::EvalContext& ctx);
 
 /// Fully connected layer y = x W + b, weights Glorot-uniform initialised.
 /// The matmuls run on ctx.pool when one is provided - bitwise identical
@@ -94,7 +94,7 @@ class SageConv {
 
   /// mean_aggregate(x), then combine.
   Matrix forward(const Matrix& x, const Graph& graph,
-                 const tensor::OpContext& ctx, Cache* cache = nullptr) const;
+                 const core::EvalContext& ctx, Cache* cache = nullptr) const;
 
   /// The layer's dense half: x W_self + b + h_neigh W_neigh, with
   /// h_neigh the rows' aggregated neighbour features. Row i of the
@@ -109,14 +109,14 @@ class SageConv {
   /// lin_neigh.grad_weight as each receives its final contribution (the
   /// folded-bias lin_neigh.grad_bias is not a parameter and never fires).
   Matrix backward(const Cache& cache, const Matrix& d_out, const Graph& graph,
-                  const tensor::OpContext& ctx,
+                  const core::EvalContext& ctx,
                   const GradientSink& sink = {});
 
   /// backward without dX, for a first layer whose input takes no
   /// gradient: the parameter gradients and sink firings of backward,
   /// none of its input-gradient matmuls or aggregation.
   void accumulate_gradients(const Cache& cache, const Matrix& d_out,
-                            const tensor::OpContext& ctx,
+                            const core::EvalContext& ctx,
                             const GradientSink& sink = {});
 
   void zero_grad();

@@ -6,9 +6,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "fpna/core/eval_context.hpp"
 #include "fpna/dl/dataset.hpp"
 #include "fpna/dl/layers.hpp"
-#include "fpna/tensor/op_context.hpp"
 #include "fpna/util/rng.hpp"
 
 namespace fpna::dl {
@@ -32,7 +32,7 @@ class GraphSageModel {
 
   /// Returns row-wise log-probabilities [nodes, classes].
   Matrix forward(const Matrix& features, const Graph& graph,
-                 const tensor::OpContext& ctx,
+                 const core::EvalContext& ctx,
                  ForwardCache* cache = nullptr) const;
 
   /// Backward from d_logits; fills the layers' gradient buffers. `sink`
@@ -44,7 +44,7 @@ class GraphSageModel {
   /// w.r.t. the input features is formed (conv1 stops at its
   /// parameters).
   void backward(const ForwardCache& cache, const Matrix& d_logits,
-                const Graph& graph, const tensor::OpContext& ctx,
+                const Graph& graph, const core::EvalContext& ctx,
                 const GradientSink& sink = {});
 
   /// The parameters() indices in the order backward() finalises their

@@ -103,7 +103,7 @@ TrainResult train(const Dataset& dataset, const TrainConfig& config,
 
 /// Forward pass -> log-probabilities; deterministic or not per `ctx`.
 Matrix infer(const GraphSageModel& model, const Dataset& dataset,
-             const tensor::OpContext& ctx);
+             const core::EvalContext& ctx);
 
 double accuracy(const Matrix& log_probs,
                 const std::vector<std::int64_t>& labels,

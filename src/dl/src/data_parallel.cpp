@@ -1,6 +1,5 @@
 #include "fpna/dl/data_parallel.hpp"
 
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -13,17 +12,6 @@
 namespace fpna::dl {
 
 namespace {
-
-/// Per-parameter gradient buffers flattened to one TensorList entry each
-/// (FP32, the wire type of the exchange - as NCCL/MPI gradient buckets).
-comm::TensorList<float> gradient_tensors(GraphSageModel& model) {
-  comm::TensorList<float> tensors;
-  for (auto& [param, grad] : model.parameters()) {
-    (void)param;
-    tensors.emplace_back(grad->data().begin(), grad->data().end());
-  }
-  return tensors;
-}
 
 void write_gradients(GraphSageModel& model,
                      const comm::TensorList<float>& tensors) {
@@ -145,9 +133,6 @@ TrainResult train_data_parallel(const Dataset& dataset,
     throw std::logic_error("train_data_parallel: unknown gradient buffer");
   };
 
-  const bool overlap_exchange =
-      config.exchange == GradientExchange::kBucketOverlap;
-
   // With deterministic local kernels every replica's forward over the
   // shared weights is bitwise identical (only the loss mask differs per
   // rank), so one forward pass per epoch serves all P backward passes.
@@ -158,7 +143,6 @@ TrainResult train_data_parallel(const Dataset& dataset,
   for (int epoch = 0; epoch < config.base.epochs; ++epoch) {
     std::vector<comm::TensorList<float>> rank_grads(
         ranks, comm::TensorList<float>(num_params));
-    comm::TensorList<float> combined(num_params);
     double loss_total = 0.0;
     GraphSageModel::ForwardCache shared_cache;
     Matrix shared_log_probs;
@@ -173,13 +157,10 @@ TrainResult train_data_parallel(const Dataset& dataset,
     // order, and each bucket's allreduce launches at its last tensor -
     // on comm_ctx.pool when overlap is on, concurrent with the rest of
     // the backward pass below.
-    std::optional<comm::OverlappedBucketAllreduce<float>> reducer;
-    if (overlap_exchange) {
-      reducer.emplace(pg, rank_grads,
-                      std::span<const std::size_t>(tensor_sizes),
-                      std::span<const std::size_t>(emit_order),
-                      config.algorithm, comm_ctx, bucketing);
-    }
+    comm::OverlappedBucketAllreduce<float> reducer(
+        pg, rank_grads, std::span<const std::size_t>(tensor_sizes),
+        std::span<const std::size_t>(emit_order), config.algorithm, comm_ctx,
+        bucketing);
 
     for (std::size_t r = 0; r < ranks; ++r) {
       GraphSageModel::ForwardCache rank_cache;
@@ -193,34 +174,23 @@ TrainResult train_data_parallel(const Dataset& dataset,
           shared_log_probs, dataset.labels, rank_masks[r], local_ctx);
       loss_total += loss.loss;
       result.model.zero_grad();
-      if (overlap_exchange) {
-        // Gradients land per tensor: the sink copies each finished buffer
-        // into this rank's slot and, on the last rank, announces it to
-        // the bucket scheduler - whose reductions then run concurrently
-        // with the remainder of this backward pass when overlap is on.
-        const bool last_rank = r + 1 == ranks;
-        const GradientSink sink = [&, r, last_rank](const Matrix* grad) {
-          const std::size_t t = param_index_of(grad);
-          rank_grads[r][t].assign(grad->data().begin(), grad->data().end());
-          if (last_rank) reducer->notify_slot_ready(slot_of_param[t]);
-        };
-        result.model.backward(cache, loss.d_logits, dataset.graph,
-                              local_ctx, sink);
-      } else {
-        result.model.backward(cache, loss.d_logits, dataset.graph,
-                              local_ctx);
-        rank_grads[r] = gradient_tensors(result.model);
-      }
+      // Gradients land per tensor: the sink copies each finished buffer
+      // into this rank's slot and, on the last rank, announces it to the
+      // bucket scheduler - whose reductions then run concurrently with
+      // the remainder of this backward pass when overlap is on.
+      const bool last_rank = r + 1 == ranks;
+      const GradientSink sink = [&, r, last_rank](const Matrix* grad) {
+        const std::size_t t = param_index_of(grad);
+        rank_grads[r][t].assign(grad->data().begin(), grad->data().end());
+        if (last_rank) reducer.notify_slot_ready(slot_of_param[t]);
+      };
+      result.model.backward(cache, loss.d_logits, dataset.graph, local_ctx,
+                            sink);
     }
     result.epoch_losses.push_back(loss_total / static_cast<double>(ranks));
     result.epoch_loss_scale.push_back(1.0f);
 
-    if (overlap_exchange) {
-      combined = reducer->finish();
-    } else {
-      combined = comm::bucketed_allreduce(pg, rank_grads, config.algorithm,
-                                          comm_ctx, bucketing);
-    }
+    comm::TensorList<float> combined = reducer.finish();
     // DDP averaging: the exchanged sum of per-shard mean-loss gradients,
     // divided by the rank count (exact for ranks == 1).
     for (auto& tensor : combined) {

@@ -45,7 +45,7 @@ std::vector<float> inverse_degrees(const Graph& graph) {
 Matrix index_add_aggregate(const Matrix& x,
                            const std::vector<std::int64_t>& from,
                            const std::vector<std::int64_t>& to,
-                           const tensor::OpContext& ctx) {
+                           const core::EvalContext& ctx) {
   const Matrix messages = gather_rows(x, from, ctx);
   const Matrix zero(tensor::Shape{x.size(0), x.size(1)}, 0.0f);
   return tensor::index_add(
@@ -57,7 +57,7 @@ Matrix index_add_aggregate(const Matrix& x,
 }
 
 /// Result record of an aggregation call (read-only, calling thread).
-void record_result(const tensor::OpContext& ctx, const char* site,
+void record_result(const core::EvalContext& ctx, const char* site,
                    const Matrix& out) {
   if (ctx.recorder == nullptr) return;
   obs::Fingerprint print;
@@ -71,7 +71,7 @@ void record_result(const tensor::OpContext& ctx, const char* site,
 }  // namespace
 
 Matrix mean_aggregate(const Matrix& x, const Graph& graph,
-                      const tensor::OpContext& ctx) {
+                      const core::EvalContext& ctx) {
   if (x.size(0) != graph.num_nodes()) {
     throw std::invalid_argument("mean_aggregate: feature row count != nodes");
   }
@@ -90,7 +90,7 @@ Matrix mean_aggregate(const Matrix& x, const Graph& graph,
 }
 
 Matrix mean_aggregate_backward(const Matrix& d_out, const Graph& graph,
-                               const tensor::OpContext& ctx) {
+                               const core::EvalContext& ctx) {
   if (d_out.size(0) != graph.num_nodes()) {
     throw std::invalid_argument(
         "mean_aggregate_backward: gradient row count != nodes");
@@ -157,7 +157,7 @@ SageConv::SageConv(std::int64_t in_features, std::int64_t out_features,
       lin_neigh(in_features, out_features, rng) {}
 
 Matrix SageConv::forward(const Matrix& x, const Graph& graph,
-                         const tensor::OpContext& ctx, Cache* cache) const {
+                         const core::EvalContext& ctx, Cache* cache) const {
   Matrix h_neigh = mean_aggregate(x, graph, ctx);
   Matrix out = combine(x, h_neigh, ctx);
   if (cache != nullptr) {
@@ -176,7 +176,7 @@ Matrix SageConv::combine(const Matrix& x, const Matrix& h_neigh,
 }
 
 void SageConv::accumulate_gradients(const Cache& cache, const Matrix& d_out,
-                                    const tensor::OpContext& ctx,
+                                    const core::EvalContext& ctx,
                                     const GradientSink& sink) {
   lin_self.accumulate_gradients(cache.x, d_out, ctx, sink);
   lin_neigh.grad_weight = add(
@@ -186,7 +186,7 @@ void SageConv::accumulate_gradients(const Cache& cache, const Matrix& d_out,
 }
 
 Matrix SageConv::backward(const Cache& cache, const Matrix& d_out,
-                          const Graph& graph, const tensor::OpContext& ctx,
+                          const Graph& graph, const core::EvalContext& ctx,
                           const GradientSink& sink) {
   accumulate_gradients(cache, d_out, ctx, sink);
   // Self path, then the neighbour path: through the matmul, then back

@@ -20,7 +20,7 @@ GraphSageModel::GraphSageModel(std::int64_t in_features, std::int64_t hidden,
                       init_seed ^ 0x9e3779b97f4a7c15ULL)) {}
 
 Matrix GraphSageModel::forward(const Matrix& features, const Graph& graph,
-                               const tensor::OpContext& ctx,
+                               const core::EvalContext& ctx,
                                ForwardCache* cache) const {
   SageConv::Cache c1;
   Matrix z1 = conv1.forward(features, graph, ctx, &c1);
@@ -41,7 +41,7 @@ Matrix GraphSageModel::forward(const Matrix& features, const Graph& graph,
 
 void GraphSageModel::backward(const ForwardCache& cache,
                               const Matrix& d_logits, const Graph& graph,
-                              const tensor::OpContext& ctx,
+                              const core::EvalContext& ctx,
                               const GradientSink& sink) {
   const Matrix d_a1 = conv2.backward(cache.conv2, d_logits, graph, ctx, sink);
   const Matrix d_z1 = relu_backward(cache.z1, d_a1);

@@ -6,11 +6,11 @@
 #include <stdexcept>
 #include <tuple>
 
+#include "fpna/core/eval_context.hpp"
 #include "fpna/dl/adam.hpp"
 #include "fpna/obs/metrics.hpp"
 #include "fpna/obs/recorder.hpp"
 #include "fpna/sim/cost_model.hpp"
-#include "fpna/tensor/op_context.hpp"
 #include "fpna/tensor/workload.hpp"
 #include "fpna/util/thread_pool.hpp"
 
@@ -109,7 +109,7 @@ TrainResult train(const Dataset& dataset, const TrainConfig& config,
 }
 
 Matrix infer(const GraphSageModel& model, const Dataset& dataset,
-             const tensor::OpContext& ctx) {
+             const core::EvalContext& ctx) {
   return model.forward(dataset.features, dataset.graph, ctx, nullptr);
 }
 

@@ -21,12 +21,11 @@
 //
 // The registry is dtype-polymorphic (see reduction_spec.hpp): every
 // algorithm instantiates at double, float and the software bf16, an Entry
-// carries one-shot surfaces for the canonical dtype combinations (f64
-// bitwise-identical to the historic free functions; f32/f32 and
-// bf16-storage/f32-accumulate for the DL settings), and `visit_reduction`
-// extends the static-visitor discipline to a full ReductionSpec - the
-// callback receives the algorithm tag, the accumulate-dtype constant and
-// a monomorphic storage quantizer.
+// carries the f64 one-shot surface (bitwise-identical to the historic free
+// functions), and `visit_reduction` extends the static-visitor discipline
+// to a full ReductionSpec - the callback receives the algorithm tag, the
+// accumulate-dtype constant and a monomorphic storage quantizer. Every
+// other dtype combination reduces through `reduce(spec, span)`.
 //
 // The SIMD lane axis (see simd.hpp and reduction_spec.hpp's grammar)
 // composes over all of the above: `tags::Simd<Tag, L>` wraps any base
@@ -903,11 +902,6 @@ class AlgorithmRegistry {
     /// f64 storage / f64 accumulate one-shot reduction (bitwise = the
     /// historic free function; this surface's values never move).
     double (*reduce)(std::span<const double>) = nullptr;
-    /// f32 storage / f32 accumulate: the framework-FP32 kernel setting.
-    float (*reduce_f32)(std::span<const float>) = nullptr;
-    /// bf16 storage / f32 accumulate: the tensor-core mixed-precision
-    /// setting the paper's DL experiments run under.
-    float (*reduce_bf16_f32)(std::span<const bf16>) = nullptr;
   };
 
   static AlgorithmRegistry& instance();
@@ -954,24 +948,6 @@ namespace detail {
 struct AlgorithmRegistrar {
   explicit AlgorithmRegistrar(AlgorithmRegistry::Entry entry);
 };
-
-/// Tag-generic fillers for the registry's per-dtype reduce surfaces: the
-/// algorithm's streaming accumulator instantiated at the accumulate
-/// dtype, addends entering in storage precision.
-template <typename Tag>
-float tag_reduce_f32(std::span<const float> values) {
-  typename Tag::template accumulator_t<float> acc;
-  acc.add(values);
-  return acc.result();
-}
-
-template <typename Tag>
-float tag_reduce_bf16_f32(std::span<const bf16> values) {
-  typename Tag::template accumulator_t<float> acc;
-  for (const bf16 x : values) acc.add(static_cast<float>(x));
-  return acc.result();
-}
-
 }  // namespace detail
 
 /// Self-registration hook: expands to a namespace-scope registrar whose
@@ -984,7 +960,6 @@ float tag_reduce_bf16_f32(std::span<const bf16> values) {
   static const ::fpna::fp::detail::AlgorithmRegistrar                         \
       fpna_accumulator_registrar_##token{::fpna::fp::AlgorithmRegistry::Entry{\
           cli_name, tag_type::id, description_str, tag_type::traits,          \
-          &tag_type::reduce, &::fpna::fp::detail::tag_reduce_f32<tag_type>,   \
-          &::fpna::fp::detail::tag_reduce_bf16_f32<tag_type>}};
+          &tag_type::reduce}};
 
 }  // namespace fpna::fp

@@ -16,7 +16,7 @@
 #include <cstdint>
 #include <type_traits>
 
-#include "fpna/tensor/op_context.hpp"
+#include "fpna/core/eval_context.hpp"
 #include "fpna/tensor/tensor.hpp"
 
 namespace fpna::tensor {
@@ -40,19 +40,19 @@ template <typename T>
 Tensor<T> conv_transpose1d(const Tensor<T>& input, const Tensor<T>& weight,
                            const std::type_identity_t<Tensor<T>>* bias = nullptr,
                            const ConvTransposeParams<1>& params = {},
-                           const OpContext& ctx = {});
+                           const core::EvalContext& ctx = {});
 
 template <typename T>
 Tensor<T> conv_transpose2d(const Tensor<T>& input, const Tensor<T>& weight,
                            const std::type_identity_t<Tensor<T>>* bias = nullptr,
                            const ConvTransposeParams<2>& params = {},
-                           const OpContext& ctx = {});
+                           const core::EvalContext& ctx = {});
 
 template <typename T>
 Tensor<T> conv_transpose3d(const Tensor<T>& input, const Tensor<T>& weight,
                            const std::type_identity_t<Tensor<T>>* bias = nullptr,
                            const ConvTransposeParams<3>& params = {},
-                           const OpContext& ctx = {});
+                           const core::EvalContext& ctx = {});
 
 /// Output spatial extent for one dimension.
 inline std::int64_t conv_transpose_out_size(std::int64_t in,

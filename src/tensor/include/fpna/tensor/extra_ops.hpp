@@ -16,8 +16,8 @@
 
 #include <cstdint>
 
+#include "fpna/core/eval_context.hpp"
 #include "fpna/tensor/indexed_ops.hpp"
-#include "fpna/tensor/op_context.hpp"
 #include "fpna/tensor/tensor.hpp"
 
 namespace fpna::tensor {
@@ -35,7 +35,7 @@ template <typename T>
 Tensor<T> index_select_backward(const Tensor<T>& grad_out, std::int64_t dim,
                                 const Tensor<std::int64_t>& index,
                                 const Shape& self_shape,
-                                const OpContext& ctx = {});
+                                const core::EvalContext& ctx = {});
 
 enum class BagMode { kSum, kMean };
 
@@ -47,20 +47,20 @@ template <typename T>
 Tensor<T> embedding_bag(const Tensor<T>& weight,
                         const Tensor<std::int64_t>& indices,
                         const Tensor<std::int64_t>& offsets, BagMode mode,
-                        const OpContext& ctx = {});
+                        const core::EvalContext& ctx = {});
 
 /// Counts occurrences of each value in [0, minlength-1] (extended if the
 /// data needs more bins). Integer accumulation: deterministic even when
 /// an ND context is supplied (certified in tests).
 Tensor<std::int64_t> bincount(const Tensor<std::int64_t>& values,
                               std::int64_t minlength = 0,
-                              const OpContext& ctx = {});
+                              const core::EvalContext& ctx = {});
 
 /// Histogram of float values over [lo, hi) with `bins` equal bins
 /// (PyTorch histc). Bin *selection* is FP but per-element; counts are
 /// integers: deterministic under any commit order.
 template <typename T>
 Tensor<std::int64_t> histc(const Tensor<T>& values, std::int64_t bins,
-                           T lo, T hi, const OpContext& ctx = {});
+                           T lo, T hi, const core::EvalContext& ctx = {});
 
 }  // namespace fpna::tensor

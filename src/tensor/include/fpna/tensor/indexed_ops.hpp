@@ -12,7 +12,7 @@
 
 #include <cstdint>
 
-#include "fpna/tensor/op_context.hpp"
+#include "fpna/core/eval_context.hpp"
 #include "fpna/tensor/tensor.hpp"
 
 namespace fpna::tensor {
@@ -30,7 +30,7 @@ template <typename T>
 Tensor<T> index_add(const Tensor<T>& self, std::int64_t dim,
                     const Tensor<std::int64_t>& index,
                     const Tensor<T>& source, T alpha = T{1},
-                    const OpContext& ctx = {});
+                    const core::EvalContext& ctx = {});
 
 /// out = self; out[.., index[k], ..] = source[.., k, ..]. With duplicate
 /// indices the result depends on write order: deterministically the
@@ -38,21 +38,22 @@ Tensor<T> index_add(const Tensor<T>& self, std::int64_t dim,
 template <typename T>
 Tensor<T> index_copy(const Tensor<T>& self, std::int64_t dim,
                      const Tensor<std::int64_t>& index,
-                     const Tensor<T>& source, const OpContext& ctx = {});
+                     const Tensor<T>& source,
+                     const core::EvalContext& ctx = {});
 
 /// Flat-index put over dim 0 slices: out[indices[k]] = values[k], or
 /// accumulate (+=) when `accumulate` is true.
 template <typename T>
 Tensor<T> index_put(const Tensor<T>& self, const Tensor<std::int64_t>& indices,
                     const Tensor<T>& values, bool accumulate,
-                    const OpContext& ctx = {});
+                    const core::EvalContext& ctx = {});
 
 /// out = self; out[index[p] along dim, rest of p] = src[p] for every
 /// position p of src (PyTorch scatter: index has the shape of src).
 template <typename T>
 Tensor<T> scatter(const Tensor<T>& self, std::int64_t dim,
                   const Tensor<std::int64_t>& index, const Tensor<T>& src,
-                  const OpContext& ctx = {});
+                  const core::EvalContext& ctx = {});
 
 /// PyTorch scatter_reduce: reduce src values into self at the indexed
 /// positions. include_self=false seeds each touched destination from its
@@ -61,6 +62,7 @@ template <typename T>
 Tensor<T> scatter_reduce(const Tensor<T>& self, std::int64_t dim,
                          const Tensor<std::int64_t>& index,
                          const Tensor<T>& src, Reduce reduce,
-                         bool include_self = true, const OpContext& ctx = {});
+                         bool include_self = true,
+                         const core::EvalContext& ctx = {});
 
 }  // namespace fpna::tensor

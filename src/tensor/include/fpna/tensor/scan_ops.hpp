@@ -8,7 +8,7 @@
 
 #include <cstdint>
 
-#include "fpna/tensor/op_context.hpp"
+#include "fpna/core/eval_context.hpp"
 #include "fpna/tensor/tensor.hpp"
 
 namespace fpna::tensor {
@@ -19,6 +19,7 @@ namespace fpna::tensor {
 /// added in a scheduler-dependent order.
 template <typename T>
 Tensor<T> cumsum(const Tensor<T>& self, std::int64_t dim,
-                 const OpContext& ctx = {}, std::size_t scan_blocks = 32);
+                 const core::EvalContext& ctx = {},
+                 std::size_t scan_blocks = 32);
 
 }  // namespace fpna::tensor

@@ -25,7 +25,7 @@ template <typename T, std::size_t Rank>
 Tensor<T> conv_transpose_impl(const Tensor<T>& input, const Tensor<T>& weight,
                               const Tensor<T>* bias,
                               const ConvTransposeParams<Rank>& params,
-                              const OpContext& ctx, const char* op) {
+                              const core::EvalContext& ctx, const char* op) {
   constexpr auto kRank = static_cast<std::int64_t>(Rank);
   if (input.dim() != kRank + 2) {
     throw std::invalid_argument(std::string(op) + ": input must be rank " +
@@ -167,7 +167,7 @@ template <typename T>
 Tensor<T> conv_transpose1d(const Tensor<T>& input, const Tensor<T>& weight,
                            const std::type_identity_t<Tensor<T>>* bias,
                            const ConvTransposeParams<1>& params,
-                           const OpContext& ctx) {
+                           const core::EvalContext& ctx) {
   return conv_transpose_impl<T, 1>(input, weight, bias, params, ctx,
                                    "conv_transpose1d");
 }
@@ -176,7 +176,7 @@ template <typename T>
 Tensor<T> conv_transpose2d(const Tensor<T>& input, const Tensor<T>& weight,
                            const std::type_identity_t<Tensor<T>>* bias,
                            const ConvTransposeParams<2>& params,
-                           const OpContext& ctx) {
+                           const core::EvalContext& ctx) {
   return conv_transpose_impl<T, 2>(input, weight, bias, params, ctx,
                                    "conv_transpose2d");
 }
@@ -185,7 +185,7 @@ template <typename T>
 Tensor<T> conv_transpose3d(const Tensor<T>& input, const Tensor<T>& weight,
                            const std::type_identity_t<Tensor<T>>* bias,
                            const ConvTransposeParams<3>& params,
-                           const OpContext& ctx) {
+                           const core::EvalContext& ctx) {
   return conv_transpose_impl<T, 3>(input, weight, bias, params, ctx,
                                    "conv_transpose3d");
 }
@@ -194,15 +194,15 @@ Tensor<T> conv_transpose3d(const Tensor<T>& input, const Tensor<T>& weight,
   template Tensor<T> conv_transpose1d<T>(const Tensor<T>&, const Tensor<T>&,  \
                                          const Tensor<T>*,                    \
                                          const ConvTransposeParams<1>&,       \
-                                         const OpContext&);                   \
+                                         const core::EvalContext&);           \
   template Tensor<T> conv_transpose2d<T>(const Tensor<T>&, const Tensor<T>&,  \
                                          const Tensor<T>*,                    \
                                          const ConvTransposeParams<2>&,       \
-                                         const OpContext&);                   \
+                                         const core::EvalContext&);           \
   template Tensor<T> conv_transpose3d<T>(const Tensor<T>&, const Tensor<T>&,  \
                                          const Tensor<T>*,                    \
                                          const ConvTransposeParams<3>&,       \
-                                         const OpContext&);
+                                         const core::EvalContext&);
 
 FPNA_INSTANTIATE_CONVT(float)
 FPNA_INSTANTIATE_CONVT(double)

@@ -41,7 +41,7 @@ template <typename T>
 Tensor<T> index_select_backward(const Tensor<T>& grad_out, std::int64_t dim,
                                 const Tensor<std::int64_t>& index,
                                 const Shape& self_shape,
-                                const OpContext& ctx) {
+                                const core::EvalContext& ctx) {
   Tensor<T> grad_self(self_shape, T{0});
   // d(self) accumulates grad_out rows at the gathered positions: exactly
   // an index_add of grad_out into a zero tensor.
@@ -52,7 +52,7 @@ template <typename T>
 Tensor<T> embedding_bag(const Tensor<T>& weight,
                         const Tensor<std::int64_t>& indices,
                         const Tensor<std::int64_t>& offsets, BagMode mode,
-                        const OpContext& ctx) {
+                        const core::EvalContext& ctx) {
   if (weight.dim() != 2) {
     throw std::invalid_argument("embedding_bag: weight must be [rows, dim]");
   }
@@ -118,7 +118,8 @@ Tensor<T> embedding_bag(const Tensor<T>& weight,
 }
 
 Tensor<std::int64_t> bincount(const Tensor<std::int64_t>& values,
-                              std::int64_t minlength, const OpContext& ctx) {
+                              std::int64_t minlength,
+                              const core::EvalContext& ctx) {
   std::int64_t bins = minlength;
   for (const std::int64_t v : values.data()) {
     if (v < 0) throw std::invalid_argument("bincount: negative value");
@@ -143,7 +144,7 @@ Tensor<std::int64_t> bincount(const Tensor<std::int64_t>& values,
 
 template <typename T>
 Tensor<std::int64_t> histc(const Tensor<T>& values, std::int64_t bins, T lo,
-                           T hi, const OpContext& ctx) {
+                           T hi, const core::EvalContext& ctx) {
   if (bins <= 0) throw std::invalid_argument("histc: bins must be positive");
   if (!(hi > lo)) throw std::invalid_argument("histc: hi must exceed lo");
   Tensor<std::int64_t> out(Shape{bins}, 0);
@@ -169,12 +170,12 @@ Tensor<std::int64_t> histc(const Tensor<T>& values, std::int64_t bins, T lo,
                                      const Tensor<std::int64_t>&);            \
   template Tensor<T> index_select_backward<T>(                                \
       const Tensor<T>&, std::int64_t, const Tensor<std::int64_t>&,            \
-      const Shape&, const OpContext&);                                        \
+      const Shape&, const core::EvalContext&);                                \
   template Tensor<T> embedding_bag<T>(                                        \
       const Tensor<T>&, const Tensor<std::int64_t>&,                          \
-      const Tensor<std::int64_t>&, BagMode, const OpContext&);                \
+      const Tensor<std::int64_t>&, BagMode, const core::EvalContext&);        \
   template Tensor<std::int64_t> histc<T>(const Tensor<T>&, std::int64_t, T,   \
-                                         T, const OpContext&);
+                                         T, const core::EvalContext&);
 
 FPNA_INSTANTIATE_EXTRA_OPS(float)
 FPNA_INSTANTIATE_EXTRA_OPS(double)

@@ -54,7 +54,7 @@ struct Contribution {
 /// two-way collisions that reorder run to run.
 std::vector<std::size_t> commit_order(const std::vector<Contribution>& contribs,
                                       std::int64_t out_numel,
-                                      const OpContext& ctx,
+                                      const core::EvalContext& ctx,
                                       bool is_store = false) {
   const std::size_t n = contribs.size();
   if (!ctx.nondeterministic()) {
@@ -83,7 +83,7 @@ std::vector<std::size_t> commit_order(const std::vector<Contribution>& contribs,
                static_cast<double>(std::max<std::int64_t>(1, out_numel)));
   double race_probability = std::min(1.0, 1.0 / (g * g));
   // Stores only flip their winner when the final two writes race; see
-  // OpContext::store_race_scale.
+  // core::EvalContext::store_race_scale.
   if (is_store) race_probability *= ctx.store_race_scale;
 
   // Decide per destination whether its queue drains FIFO this run.
@@ -235,7 +235,8 @@ std::vector<Contribution> elementwise_contributions(
 template <typename T, typename ValueOf>
 void accumulate_deterministic_pooled(Tensor<T>& out,
                                      const std::vector<Contribution>& contribs,
-                                     const OpContext& ctx, bool seed_self,
+                                     const core::EvalContext& ctx,
+                                     bool seed_self,
                                      const ValueOf& value_of) {
   const auto numel = static_cast<std::size_t>(out.numel());
   std::vector<std::size_t> offsets(numel + 1, 0);
@@ -298,7 +299,7 @@ void accumulate_deterministic_pooled(Tensor<T>& out,
 template <typename T, typename ValueOf>
 void accumulate_deterministic(Tensor<T>& out,
                               const std::vector<Contribution>& contribs,
-                              const OpContext& ctx, bool seed_self,
+                              const core::EvalContext& ctx, bool seed_self,
                               ValueOf&& value_of) {
   if (ctx.pool != nullptr && ctx.pool->size() > 1 && contribs.size() > 1) {
     accumulate_deterministic_pooled(out, contribs, ctx, seed_self, value_of);
@@ -386,7 +387,8 @@ T reduce_combine(Reduce reduce, T acc, T value) {
 template <typename T>
 Tensor<T> index_add(const Tensor<T>& self, std::int64_t dim,
                     const Tensor<std::int64_t>& index,
-                    const Tensor<T>& source, T alpha, const OpContext& ctx) {
+                    const Tensor<T>& source, T alpha,
+                    const core::EvalContext& ctx) {
   check_dim(dim, self.dim(), "index_add");
   obs::Span span(ctx.recorder, "tensor.index_add");
   Tensor<T> out = self;
@@ -429,7 +431,7 @@ Tensor<T> index_add(const Tensor<T>& self, std::int64_t dim,
 template <typename T>
 Tensor<T> index_copy(const Tensor<T>& self, std::int64_t dim,
                      const Tensor<std::int64_t>& index,
-                     const Tensor<T>& source, const OpContext& ctx) {
+                     const Tensor<T>& source, const core::EvalContext& ctx) {
   check_dim(dim, self.dim(), "index_copy");
   Tensor<T> out = self;
   const auto contribs =
@@ -447,7 +449,7 @@ Tensor<T> index_copy(const Tensor<T>& self, std::int64_t dim,
 template <typename T>
 Tensor<T> index_put(const Tensor<T>& self, const Tensor<std::int64_t>& indices,
                     const Tensor<T>& values, bool accumulate,
-                    const OpContext& ctx) {
+                    const core::EvalContext& ctx) {
   if (accumulate) {
     return index_add(self, 0, indices, values, T{1}, ctx);
   }
@@ -457,7 +459,7 @@ Tensor<T> index_put(const Tensor<T>& self, const Tensor<std::int64_t>& indices,
 template <typename T>
 Tensor<T> scatter(const Tensor<T>& self, std::int64_t dim,
                   const Tensor<std::int64_t>& index, const Tensor<T>& src,
-                  const OpContext& ctx) {
+                  const core::EvalContext& ctx) {
   check_dim(dim, self.dim(), "scatter");
   Tensor<T> out = self;
   const auto contribs =
@@ -474,7 +476,7 @@ template <typename T>
 Tensor<T> scatter_reduce(const Tensor<T>& self, std::int64_t dim,
                          const Tensor<std::int64_t>& index,
                          const Tensor<T>& src, Reduce reduce,
-                         bool include_self, const OpContext& ctx) {
+                         bool include_self, const core::EvalContext& ctx) {
   check_dim(dim, self.dim(), "scatter_reduce");
   obs::Span span(ctx.recorder, "tensor.scatter_reduce");
   Tensor<T> out = self;
@@ -506,10 +508,10 @@ Tensor<T> scatter_reduce(const Tensor<T>& self, std::int64_t dim,
   // never quantizes and never lane-blocks, so those axes would otherwise
   // be silently dropped.
   const bool sum_family = reduce == Reduce::kSum || reduce == Reduce::kMean;
+  const fp::ReductionSpec spec = ctx.reduction_in_effect();
   if (sum_family && !ctx.nondeterministic() &&
-      (ctx.accumulator_in_effect() != fp::AlgorithmId::kSerial ||
-       !ctx.reduction_in_effect().native() ||
-       ctx.reduction_in_effect().lane_blocked())) {
+      (spec.algorithm != fp::AlgorithmId::kSerial || !spec.native() ||
+       spec.lane_blocked())) {
     accumulate_deterministic(out, contribs, ctx, /*seed_self=*/include_self,
                              [&](const Contribution& c) {
                                return src.flat(c.src);
@@ -559,20 +561,23 @@ Tensor<T> scatter_reduce(const Tensor<T>& self, std::int64_t dim,
 #define FPNA_INSTANTIATE_INDEXED_OPS(T)                                        \
   template Tensor<T> index_add<T>(const Tensor<T>&, std::int64_t,             \
                                   const Tensor<std::int64_t>&,                \
-                                  const Tensor<T>&, T, const OpContext&);     \
+                                  const Tensor<T>&, T,                        \
+                                  const core::EvalContext&);                  \
   template Tensor<T> index_copy<T>(const Tensor<T>&, std::int64_t,            \
                                    const Tensor<std::int64_t>&,               \
-                                   const Tensor<T>&, const OpContext&);       \
+                                   const Tensor<T>&,                          \
+                                   const core::EvalContext&);                 \
   template Tensor<T> index_put<T>(const Tensor<T>&,                           \
                                   const Tensor<std::int64_t>&,                \
-                                  const Tensor<T>&, bool, const OpContext&);  \
+                                  const Tensor<T>&, bool,                     \
+                                  const core::EvalContext&);                  \
   template Tensor<T> scatter<T>(const Tensor<T>&, std::int64_t,               \
                                 const Tensor<std::int64_t>&,                  \
-                                const Tensor<T>&, const OpContext&);          \
+                                const Tensor<T>&, const core::EvalContext&);  \
   template Tensor<T> scatter_reduce<T>(const Tensor<T>&, std::int64_t,        \
                                        const Tensor<std::int64_t>&,           \
                                        const Tensor<T>&, Reduce, bool,        \
-                                       const OpContext&);
+                                       const core::EvalContext&);
 
 FPNA_INSTANTIATE_INDEXED_OPS(float)
 FPNA_INSTANTIATE_INDEXED_OPS(double)

@@ -15,7 +15,7 @@ namespace {
 /// Scans one line (stride-accessed) of the tensor.
 template <typename T>
 void scan_line(std::span<T> data, std::int64_t start, std::int64_t stride,
-               std::int64_t length, const OpContext& ctx,
+               std::int64_t length, const core::EvalContext& ctx,
                std::size_t scan_blocks) {
   const auto at = [&](std::int64_t i) -> T& {
     return data[static_cast<std::size_t>(start + i * stride)];
@@ -106,8 +106,8 @@ void scan_line(std::span<T> data, std::int64_t start, std::int64_t stride,
 }  // namespace
 
 template <typename T>
-Tensor<T> cumsum(const Tensor<T>& self, std::int64_t dim, const OpContext& ctx,
-                 std::size_t scan_blocks) {
+Tensor<T> cumsum(const Tensor<T>& self, std::int64_t dim,
+                 const core::EvalContext& ctx, std::size_t scan_blocks) {
   if (dim < 0 || dim >= self.dim()) {
     throw std::out_of_range("cumsum: dim out of range");
   }
@@ -116,7 +116,7 @@ Tensor<T> cumsum(const Tensor<T>& self, std::int64_t dim, const OpContext& ctx,
   // call, which would make the streaming prefix O(length^2). Refuse
   // loudly; the superaccumulator gives the same reproducibility in
   // O(length).
-  if (ctx.accumulator_in_effect() == fp::AlgorithmId::kBinned) {
+  if (ctx.reduction_in_effect().algorithm == fp::AlgorithmId::kBinned) {
     throw std::invalid_argument(
         "cumsum: the binned accumulator cannot stream a prefix scan; "
         "use superaccumulator for a reproducible cumsum");
@@ -142,8 +142,8 @@ Tensor<T> cumsum(const Tensor<T>& self, std::int64_t dim, const OpContext& ctx,
 }
 
 template Tensor<float> cumsum<float>(const Tensor<float>&, std::int64_t,
-                                     const OpContext&, std::size_t);
+                                     const core::EvalContext&, std::size_t);
 template Tensor<double> cumsum<double>(const Tensor<double>&, std::int64_t,
-                                       const OpContext&, std::size_t);
+                                       const core::EvalContext&, std::size_t);
 
 }  // namespace fpna::tensor

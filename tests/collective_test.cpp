@@ -149,13 +149,14 @@ TEST(DistributedSum, MatchesAlgorithms) {
   for (auto& x : data) x = dist(rng);
 
   const double exact = fp::Superaccumulator::sum(data);
-  EXPECT_EQ(distributed_sum(data, 8, Algorithm::kReproducible), exact);
+  EXPECT_EQ(distributed_sum(data, 8, Algorithm::kReproducible, {}), exact);
 
   core::RunContext ctx(3, 0);
   for (const auto algorithm :
        {Algorithm::kRing, Algorithm::kRecursiveDoubling,
         Algorithm::kArrivalTree}) {
-    const double value = distributed_sum(data, 8, algorithm, &ctx);
+    const double value =
+        distributed_sum(data, 8, algorithm, core::EvalContext{.run = &ctx});
     EXPECT_NEAR(value, exact, std::fabs(exact) * 1e-12 + 1e-9)
         << to_string(algorithm);
   }
@@ -167,15 +168,16 @@ TEST(DistributedSum, ReproducibleInvariantToRankCount) {
   std::vector<double> data(4321);
   for (auto& x : data) x = dist(rng);
 
-  const double reference = distributed_sum(data, 1, Algorithm::kReproducible);
+  const double reference =
+      distributed_sum(data, 1, Algorithm::kReproducible, {});
   for (const std::size_t ranks : {2u, 3u, 8u, 16u, 64u}) {
     EXPECT_TRUE(fp::bitwise_equal(
-        distributed_sum(data, ranks, Algorithm::kReproducible), reference));
+        distributed_sum(data, ranks, Algorithm::kReproducible, {}), reference));
   }
   // The ring sum, by contrast, depends on the rank count (different
   // association).
-  const double ring1 = distributed_sum(data, 2, Algorithm::kRing);
-  const double ring2 = distributed_sum(data, 64, Algorithm::kRing);
+  const double ring1 = distributed_sum(data, 2, Algorithm::kRing, {});
+  const double ring2 = distributed_sum(data, 64, Algorithm::kRing, {});
   EXPECT_FALSE(fp::bitwise_equal(ring1, ring2));
 }
 
@@ -186,16 +188,18 @@ TEST(DistributedSum, ArrivalTreeVariesAcrossRuns) {
   for (auto& x : data) x = dist(rng);
 
   const auto kernel = [&](core::RunContext& ctx) {
-    return distributed_sum(data, 16, Algorithm::kArrivalTree, &ctx);
+    return distributed_sum(data, 16, Algorithm::kArrivalTree,
+                           core::EvalContext{.run = &ctx});
   };
   EXPECT_FALSE(core::certify_deterministic_scalar(kernel, 20, 7).deterministic);
 }
 
 TEST(DistributedSum, Validation) {
   const std::vector<double> data{1.0};
-  EXPECT_THROW(distributed_sum(data, 0, Algorithm::kRing),
+  EXPECT_THROW(distributed_sum(data, 0, Algorithm::kRing, {}),
                std::invalid_argument);
-  EXPECT_THROW(distributed_sum(data, 2, Algorithm::kArrivalTree, nullptr),
+  EXPECT_THROW(distributed_sum(data, 2, Algorithm::kArrivalTree,
+                               core::EvalContext{}),
                std::invalid_argument);
 }
 

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -956,40 +957,41 @@ TEST(DataParallel, OverlapDoesNotMoveTrainingBits) {
   }
 }
 
-TEST(DataParallel, BackwardOverlapBitwiseEqualsPackedInReproducibleMode) {
-  // The tentpole training certification: firing buckets mid-backward
-  // (reverse-order readiness, pool-overlapped reduction) produces the
-  // exact bits of the PR 2 packed-gradient path in reproducible mode, at
-  // every pool width - and for the dtype-quantized exchange too.
+TEST(DataParallel, BackwardOverlapBitwiseEqualsOneBucketInReproducibleMode) {
+  // The training certification: firing buckets mid-backward (reverse-order
+  // readiness, pool-overlapped reduction) produces the exact bits of a
+  // single bucket reduced inline in reproducible mode, at every pool
+  // width - and for the dtype-quantized exchange too. The oracle's one
+  // bucket holds every gradient, so it shares neither the bucket layout
+  // nor the overlap of the runs it certifies.
   const auto ds = make_synthetic_citation_dataset(tiny_config());
-  DataParallelConfig packed;
-  packed.base.epochs = 3;
-  packed.base.hidden = 8;
-  packed.ranks = 4;
-  packed.bucket_cap_elements = 64;  // several buckets
-  packed.exchange = GradientExchange::kPacked;
+  DataParallelConfig one_bucket;
+  one_bucket.base.epochs = 3;
+  one_bucket.base.hidden = 8;
+  one_bucket.ranks = 4;
+  one_bucket.bucket_cap_elements = std::numeric_limits<std::size_t>::max();
 
   for (const char* comm_spec : {"", "superaccumulator@bf16:f32"}) {
-    DataParallelConfig reference = packed;
+    DataParallelConfig reference = one_bucket;
     if (*comm_spec != '\0') {
       reference.comm_accumulator = fp::parse_reduction_spec(comm_spec);
     }
-    core::RunContext packed_run(83, 0);
-    const auto packed_weights =
-        train_data_parallel(ds, reference, packed_run).final_weights;
+    core::RunContext reference_run(83, 0);
+    const auto reference_weights =
+        train_data_parallel(ds, reference, reference_run).final_weights;
 
     for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
       util::ThreadPool pool(threads);
       DataParallelConfig overlap = reference;
-      overlap.exchange = GradientExchange::kBucketOverlap;
+      overlap.bucket_cap_elements = 64;  // several buckets
       overlap.overlap = true;
       overlap.pool = &pool;
       core::RunContext run(83, 0);
       const auto weights =
           train_data_parallel(ds, overlap, run).final_weights;
-      ASSERT_EQ(weights.size(), packed_weights.size());
+      ASSERT_EQ(weights.size(), reference_weights.size());
       for (std::size_t i = 0; i < weights.size(); ++i) {
-        ASSERT_TRUE(fp::bitwise_equal(weights[i], packed_weights[i]))
+        ASSERT_TRUE(fp::bitwise_equal(weights[i], reference_weights[i]))
             << "threads " << threads << " spec '" << comm_spec << "'";
       }
     }
@@ -998,7 +1000,7 @@ TEST(DataParallel, BackwardOverlapBitwiseEqualsPackedInReproducibleMode) {
 
 TEST(DataParallel, BackwardOverlapIsRunToRunStableForDeterministicRing) {
   // The rounded ring commits to the emission-order bucket layout, so its
-  // bits may differ from the packed path - but each layout is a pure
+  // bits may differ between bucket caps - but each layout is a pure
   // function of the configuration, certified bit-stable run to run.
   const auto ds = make_synthetic_citation_dataset(tiny_config());
   util::ThreadPool pool(4);

@@ -398,7 +398,7 @@ Graph line_graph(std::int64_t n) {
 TEST(Layers, MeanAggregateAveragesNeighbours) {
   const Graph g = line_graph(3);  // 0-1-2
   const auto x = Matrix::from_data(tensor::Shape{3, 1}, {1.0f, 2.0f, 4.0f});
-  const tensor::OpContext ctx;
+  const core::EvalContext ctx;
   const auto h = mean_aggregate(x, g, ctx);
   EXPECT_EQ(h.at({0, 0}), 2.0f);   // neighbour of 0 is 1
   EXPECT_EQ(h.at({1, 0}), 2.5f);   // mean(1, 4)
@@ -408,7 +408,7 @@ TEST(Layers, MeanAggregateAveragesNeighbours) {
 TEST(Layers, IsolatedNodeAggregatesToZero) {
   Graph g(2);
   const auto x = Matrix::from_data(tensor::Shape{2, 1}, {3.0f, 4.0f});
-  const tensor::OpContext ctx;
+  const core::EvalContext ctx;
   const auto h = mean_aggregate(x, g, ctx);
   EXPECT_EQ(h.at({0, 0}), 0.0f);
   EXPECT_EQ(h.at({1, 0}), 0.0f);
@@ -654,7 +654,7 @@ TEST(Layers, GradientCheckThroughModel) {
   const auto ds = make_synthetic_citation_dataset(config);
 
   GraphSageModel model(ds.num_features(), 5, ds.num_classes, 7);
-  const tensor::OpContext ctx;
+  const core::EvalContext ctx;
 
   const auto loss_at = [&]() {
     const Matrix lp = model.forward(ds.features, ds.graph, ctx, nullptr);
@@ -768,7 +768,7 @@ TEST(Model, GradientSinkEmitsEveryParameterInReverseLayerOrder) {
   for (auto& x : d_logits.vec()) x = static_cast<float>(dist(rng));
 
   GraphSageModel model(6, 4, 3, 11);
-  const tensor::OpContext ctx;
+  const core::EvalContext ctx;
   GraphSageModel::ForwardCache cache;
   (void)model.forward(features, graph, ctx, &cache);
 
@@ -1254,7 +1254,7 @@ TEST(Trainer, InferenceDvsNd) {
   core::RunContext train_run(37, 0);
   const auto result = train(ds, config, train_run);
 
-  const tensor::OpContext det;
+  const core::EvalContext det;
   const Matrix a = infer(result.model, ds, det);
   const Matrix b = infer(result.model, ds, det);
   EXPECT_TRUE(a.bitwise_equal(b));
@@ -1262,7 +1262,7 @@ TEST(Trainer, InferenceDvsNd) {
   bool varies = false;
   for (std::uint64_t r = 0; r < 10 && !varies; ++r) {
     core::RunContext run(41, r);
-    const auto ctx = tensor::nd_context(run);
+    const core::EvalContext ctx{.run = &run};
     varies = !infer(result.model, ds, ctx).bitwise_equal(a);
   }
   EXPECT_TRUE(varies);

@@ -844,19 +844,10 @@ TEST(ReductionSpec, Bf16StorageMatchesReferenceFp32Accumulate) {
       return acc.result();
     });
     EXPECT_TRUE(bitwise_equal(via_spec, static_cast<double>(reference)));
-
-    // And the registry's dedicated bf16 surface agrees with the same
-    // reference on a bf16 buffer.
-    std::vector<bf16> quantized;
-    quantized.reserve(v.size());
-    for (const double x : v) quantized.emplace_back(static_cast<float>(x));
-    ASSERT_NE(entry.reduce_bf16_f32, nullptr);
-    EXPECT_TRUE(bitwise_equal32(
-        entry.reduce_bf16_f32(std::span<const bf16>(quantized)), reference));
   }
 }
 
-TEST(AlgorithmRegistry, PerDtypeSurfacesRegistered) {
+TEST(AlgorithmRegistry, F32SpecMatchesStreamingFloatReduce) {
   util::Xoshiro256pp rng(11);
   const util::UniformReal dist(-50.0, 50.0);
   std::vector<float> v(4096);
@@ -864,11 +855,10 @@ TEST(AlgorithmRegistry, PerDtypeSurfacesRegistered) {
   for (const auto& entry : AlgorithmRegistry::instance().entries()) {
     SCOPED_TRACE(entry.name);
     ASSERT_NE(entry.reduce, nullptr);
-    ASSERT_NE(entry.reduce_f32, nullptr);
-    ASSERT_NE(entry.reduce_bf16_f32, nullptr);
-    // The f32 surface is the streaming float accumulator - the same
+    // The f32/f32 spec is the streaming float accumulator - the same
     // value reduce<float>(id) computes.
-    EXPECT_TRUE(bitwise_equal32(entry.reduce_f32(std::span<const float>(v)),
+    const ReductionSpec f32{entry.id, Dtype::kF32, Dtype::kF32};
+    EXPECT_TRUE(bitwise_equal32(reduce(f32, std::span<const float>(v)),
                                 reduce<float>(entry.id, v)));
     // Dtype axes do not change the declared contract.
     EXPECT_EQ(traits_of(ReductionSpec{entry.id, Dtype::kBf16, Dtype::kF32})

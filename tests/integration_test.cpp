@@ -141,7 +141,7 @@ TEST(Integration, TensorOpVariabilityPipeline) {
         tensor::scatter_reduce(w.self, 0, w.index, w.src, tensor::Reduce::kSum));
   };
   const core::ArrayKernel nd_kernel = [&](core::RunContext& run) {
-    const auto ctx = tensor::nd_context(run);
+    const core::EvalContext ctx{.run = &run};
     return to_doubles(tensor::scatter_reduce(w.self, 0, w.index, w.src,
                                              tensor::Reduce::kSum, true, ctx));
   };
@@ -166,7 +166,7 @@ TEST(Integration, IndexAddVcIncreasesWithRatio) {
     constexpr int kRuns = 15;
     for (std::uint64_t r = 0; r < kRuns; ++r) {
       core::RunContext run(23, r);
-      const auto ctx = tensor::nd_context(run);
+      const core::EvalContext ctx{.run = &run};
       const auto out = tensor::index_add(w.self, 0, w.index, w.source, 1.0f, ctx);
       total += core::vc(det.data(), out.data());
     }
@@ -197,7 +197,7 @@ TEST(Integration, Table7Ordering) {
     ref_config.deterministic = true;
     core::RunContext ref_run(900, 0);
     const auto ref_model = dl::train(ds, ref_config, ref_run);
-    const tensor::OpContext det_ctx;
+    const core::EvalContext det_ctx;
     const dl::Matrix ref = dl::infer(ref_model.model, ds, det_ctx);
 
     double vermv_total = 0.0, vc_total = 0.0;
@@ -207,8 +207,8 @@ TEST(Integration, Table7Ordering) {
       core::RunContext train_run(1000 + r, r);
       const auto trained = dl::train(ds, cfg, train_run);
       core::RunContext infer_run(2000 + r, r);
-      tensor::OpContext ctx;
-      if (!det_infer) ctx = tensor::nd_context(infer_run);
+      core::EvalContext ctx;
+      if (!det_infer) ctx = core::EvalContext{.run = &infer_run};
       const dl::Matrix out = dl::infer(trained.model, ds, ctx);
       vermv_total += core::vermv(ref.data(), out.data());
       vc_total += core::vc(ref.data(), out.data());
@@ -268,7 +268,7 @@ TEST(Integration, LpuPipelineDeterminism) {
   const auto trained = dl::train(ds, tc, run);
 
   // "Running on the LPU" = deterministic ops + static-schedule timing.
-  const tensor::OpContext det_ctx;
+  const core::EvalContext det_ctx;
   const dl::Matrix a = dl::infer(trained.model, ds, det_ctx);
   const dl::Matrix b = dl::infer(trained.model, ds, det_ctx);
   EXPECT_TRUE(a.bitwise_equal(b));

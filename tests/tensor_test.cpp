@@ -14,7 +14,6 @@
 #include "fpna/util/rng.hpp"
 #include "fpna/util/thread_pool.hpp"
 #include "fpna/tensor/conv_transpose.hpp"
-#include "fpna/tensor/determinism.hpp"
 #include "fpna/tensor/extra_ops.hpp"
 #include "fpna/tensor/indexed_ops.hpp"
 #include "fpna/tensor/scan_ops.hpp"
@@ -81,29 +80,29 @@ TEST(Tensor, ZeroSizedDims) {
 // ------------------------------------------------------- determinism ----
 
 TEST(Determinism, GuardRestores) {
-  EXPECT_FALSE(DeterminismContext::deterministic());
+  EXPECT_FALSE(core::DeterminismContext::deterministic());
   {
-    const DeterminismGuard guard(true);
-    EXPECT_TRUE(DeterminismContext::deterministic());
+    const core::DeterminismGuard guard(true);
+    EXPECT_TRUE(core::DeterminismContext::deterministic());
     {
-      const DeterminismGuard inner(false);
-      EXPECT_FALSE(DeterminismContext::deterministic());
+      const core::DeterminismGuard inner(false);
+      EXPECT_FALSE(core::DeterminismContext::deterministic());
     }
-    EXPECT_TRUE(DeterminismContext::deterministic());
+    EXPECT_TRUE(core::DeterminismContext::deterministic());
   }
-  EXPECT_FALSE(DeterminismContext::deterministic());
+  EXPECT_FALSE(core::DeterminismContext::deterministic());
 }
 
 TEST(Determinism, GlobalSwitchForcesDeterministicPath) {
-  // Even with an ND OpContext, use_deterministic_algorithms(true) must
+  // Even with an ND context, use_deterministic_algorithms(true) must
   // route to the deterministic kernel (PyTorch semantics).
   util::Xoshiro256pp rng(1);
   auto w = make_scatter_workload<float>(500, 0.3, rng);
   const auto det = scatter_reduce(w.self, 0, w.index, w.src, Reduce::kSum);
 
-  const DeterminismGuard guard(true);
+  const core::DeterminismGuard guard(true);
   core::RunContext run(1, 0);
-  const auto ctx = nd_context(run);
+  const core::EvalContext ctx{.run = &run};
   const auto out = scatter_reduce(w.self, 0, w.index, w.src, Reduce::kSum,
                                   true, ctx);
   EXPECT_TRUE(out.bitwise_equal(det));
@@ -161,13 +160,13 @@ TEST(IndexAdd, PooledDeterministicPathIsBitIdenticalToSerial) {
   util::Xoshiro256pp rng(5);
   auto w = make_index_add_workload<float>(200, 0.2, rng);
   for (const auto& entry : fp::AlgorithmRegistry::instance().entries()) {
-    OpContext serial_ctx;
+    core::EvalContext serial_ctx;
     serial_ctx.accumulator = entry.id;
     const auto serial = index_add(w.self, 0, w.index, w.source, 1.0f,
                                   serial_ctx);
     for (const std::size_t threads : {2u, 5u}) {
       util::ThreadPool pool(threads);
-      OpContext pooled_ctx;
+      core::EvalContext pooled_ctx;
       pooled_ctx.accumulator = entry.id;
       pooled_ctx.pool = &pool;
       const auto pooled = index_add(w.self, 0, w.index, w.source, 1.0f,
@@ -187,7 +186,7 @@ TEST(IndexAdd, PooledSerialPathPreservesSignedZero) {
   const auto index = make_index({0, 0, 1});
   const auto serial = index_add(self, 0, index, source);
   util::ThreadPool pool(2);
-  OpContext pooled_ctx;
+  core::EvalContext pooled_ctx;
   pooled_ctx.pool = &pool;
   const auto pooled = index_add(self, 0, index, source, 1.0f, pooled_ctx);
   EXPECT_TRUE(pooled.bitwise_equal(serial));
@@ -211,9 +210,9 @@ TEST(ScatterReduce, PooledDeterministicPathIsBitIdenticalToSerial) {
   util::ThreadPool pool(3);
   for (const auto id :
        {fp::AlgorithmId::kKahan, fp::AlgorithmId::kSuperaccumulator}) {
-    OpContext serial_ctx;
+    core::EvalContext serial_ctx;
     serial_ctx.accumulator = id;
-    OpContext pooled_ctx;
+    core::EvalContext pooled_ctx;
     pooled_ctx.accumulator = id;
     pooled_ctx.pool = &pool;
     for (const bool include_self : {true, false}) {
@@ -239,7 +238,7 @@ TEST(IndexAdd, NdPathVariesDPathDoesNot) {
   bool varies = false;
   for (std::uint64_t r = 0; r < 20 && !varies; ++r) {
     core::RunContext run(5, r);
-    const auto ctx = nd_context(run);
+    const core::EvalContext ctx{.run = &run};
     const auto out = index_add(w.self, 0, w.index, w.source, 1.0f, ctx);
     varies = !out.bitwise_equal(det1);
   }
@@ -253,7 +252,7 @@ TEST(IndexAdd, NdVariabilityIsRoundingOnly) {
   auto w = make_index_add_workload<float>(60, 0.5, rng);
   const auto det = index_add(w.self, 0, w.index, w.source);
   core::RunContext run(6, 0);
-  const auto ctx = nd_context(run);
+  const core::EvalContext ctx{.run = &run};
   const auto out = index_add(w.self, 0, w.index, w.source, 1.0f, ctx);
   const double v = core::vermv(det.data(), out.data());
   EXPECT_LT(v, 1e-5);
@@ -283,7 +282,7 @@ TEST(IndexCopy, DuplicateIndexNdPathVariesWinner) {
   std::set<float> winners;
   for (std::uint64_t r = 0; r < 40; ++r) {
     core::RunContext run(7, r);
-    auto ctx = nd_context(run);
+    core::EvalContext ctx{.run = &run};
     ctx.store_race_scale = 1.0;  // make winner races frequent for the test
     winners.insert(
         index_copy(self, 0, make_index({0, 0, 0}), source, ctx).at({0}));
@@ -304,7 +303,7 @@ TEST(IndexCopy, DefaultStoreRacesAreRare) {
   constexpr std::uint64_t kRuns = 50;
   for (std::uint64_t r = 0; r < kRuns; ++r) {
     core::RunContext run(31, r);
-    const auto ctx = nd_context(run);
+    const core::EvalContext ctx{.run = &run};
     const auto out = index_copy(self, 0, index, source, ctx);
     vc_total += core::vc(det.data(), out.data());
   }
@@ -388,7 +387,7 @@ TEST(ScatterReduce, AmaxIsOrderInsensitiveEvenND) {
   const auto det = scatter_reduce(w.self, 0, w.index, w.src, Reduce::kAmax);
   for (std::uint64_t r = 0; r < 10; ++r) {
     core::RunContext run(9, r);
-    const auto ctx = nd_context(run);
+    const core::EvalContext ctx{.run = &run};
     const auto out =
         scatter_reduce(w.self, 0, w.index, w.src, Reduce::kAmax, true, ctx);
     EXPECT_TRUE(out.bitwise_equal(det));
@@ -402,7 +401,7 @@ TEST(ScatterReduce, SumNdVaries) {
   bool varies = false;
   for (std::uint64_t r = 0; r < 20 && !varies; ++r) {
     core::RunContext run(10, r);
-    const auto ctx = nd_context(run);
+    const core::EvalContext ctx{.run = &run};
     varies = !scatter_reduce(w.self, 0, w.index, w.src, Reduce::kSum, true,
                              ctx)
                   .bitwise_equal(det);
@@ -437,7 +436,7 @@ TEST(Cumsum, NdPathVariesButStaysClose) {
   bool varies = false;
   for (std::uint64_t r = 0; r < 10; ++r) {
     core::RunContext run(11, r);
-    const auto ctx = nd_context(run);
+    const core::EvalContext ctx{.run = &run};
     const auto out = cumsum(t, 0, ctx);
     varies |= !out.bitwise_equal(det);
     EXPECT_LT(core::vermv(det.data(), out.data()), 1e-5);
@@ -477,7 +476,7 @@ TEST_P(CumsumSweep, DeterministicMatchesSerialReference) {
   }
 
   core::RunContext run(73, 1);
-  const auto ctx = nd_context(run);
+  const core::EvalContext ctx{.run = &run};
   const auto nd = cumsum(t, 0, ctx, blocks);
   EXPECT_LT(core::vermv(det.data(), nd.data()), 1e-4);
 }
@@ -582,7 +581,7 @@ TEST(ConvTranspose2d, NdPathVariesWithinRounding) {
   bool varies = false;
   for (std::uint64_t r = 0; r < 10; ++r) {
     core::RunContext run(12, r);
-    const auto ctx = nd_context(run);
+    const core::EvalContext ctx{.run = &run};
     const auto out = conv_transpose2d(input, weight, nullptr, {}, ctx);
     varies |= !out.bitwise_equal(det);
     EXPECT_LT(core::vermv(det.data(), out.data()), 1e-4);
@@ -640,7 +639,7 @@ TEST(IndexSelect, ForwardDeterministicBackwardNot) {
   bool varies = false;
   for (std::uint64_t r = 0; r < 20 && !varies; ++r) {
     core::RunContext run(53, r);
-    const auto ctx = nd_context(run);
+    const core::EvalContext ctx{.run = &run};
     varies = !index_select_backward(grad_out, 0, index, self.shape(), ctx)
                   .bitwise_equal(det);
   }
@@ -694,7 +693,7 @@ TEST(EmbeddingBag, NdPathVariesLikeIndexAdd) {
   bool varies = false;
   for (std::uint64_t r = 0; r < 20 && !varies; ++r) {
     core::RunContext run(57, r);
-    const auto ctx = nd_context(run);
+    const core::EvalContext ctx{.run = &run};
     varies = !embedding_bag(weight, indices, offsets, BagMode::kSum, ctx)
                   .bitwise_equal(det);
   }
@@ -720,7 +719,7 @@ TEST(Bincount, IntegerAtomicsAreDeterministicEvenND) {
   const auto reference = bincount(values, 64);
   for (std::uint64_t r = 0; r < 10; ++r) {
     core::RunContext run(61, r);
-    const auto ctx = nd_context(run);
+    const core::EvalContext ctx{.run = &run};
     const auto out = bincount(values, 64, ctx);
     EXPECT_TRUE(out.bitwise_equal(reference));
   }
@@ -745,7 +744,7 @@ TEST(Histc, DeterministicEvenND) {
   const auto reference = histc(values, 32, 0.0f, 1.0f);
   for (std::uint64_t r = 0; r < 5; ++r) {
     core::RunContext run(67, r);
-    const auto ctx = nd_context(run);
+    const core::EvalContext ctx{.run = &run};
     EXPECT_TRUE(histc(values, 32, 0.0f, 1.0f, ctx).bitwise_equal(reference));
   }
 }
